@@ -30,7 +30,7 @@ import (
 )
 
 func main() {
-	which := flag.String("bench", "1", "benchmark: 1, 2, 3, larson, d2 (mid-tier ablation), d3 (footprint phase-shift), d4 (NUMA locality), d5 (contention scaling), d6 (memory-pressure degradation), d9 (line-aware placement) or d10 (service-thread offload)")
+	which := flag.String("bench", "1", "benchmark: 1, 2, 3, larson, or an experiment ID from the repro registry, e.g. d2 (mid-tier ablation), d3 (footprint phase-shift), d4 (NUMA locality), d5 (contention scaling), d6 (memory-pressure degradation), d9 (line-aware placement) or d10 (service-thread offload)")
 	profileName := flag.String("profile", "quad-xeon-500", "machine profile")
 	threads := flag.Int("threads", 2, "worker threads")
 	processes := flag.Bool("processes", false, "benchmark 1: one process per worker")
@@ -42,8 +42,8 @@ func main() {
 	aligned := flag.Bool("aligned", false, "benchmark 3: cache-line aligned allocator")
 	runs := flag.Int("runs", 3, "repetitions")
 	seed := flag.Uint64("seed", 1, "base seed")
-	allocator := flag.String("allocator", "", "override allocator: serial, ptmalloc, perthread, threadcache")
-	scale := flag.Float64("scale", 0.02, "d2/d3/d4: workload scale factor (d2: fraction of the 10M benchmark-1 pairs)")
+	allocator := flag.String("allocator", "", "override allocator: "+allocatorKinds())
+	scale := flag.Float64("scale", 0.02, "experiments: workload scale factor (d2: fraction of the 10M benchmark-1 pairs)")
 	jsonPath := flag.String("json", "", "also write the result table as JSON to this file")
 	telemetryPath := flag.String("telemetry", "", "larson: record telemetry and write run 0's report JSON here plus a Chrome trace-event file next to it (<name>.trace.json); adds latency percentile columns")
 	csv := flag.Bool("csv", false, "CSV output")
@@ -134,50 +134,14 @@ func main() {
 				fatal(err)
 			}
 		}
-	case "d2":
-		res, err := bench.ExpMidTier(bench.Options{Scale: *scale, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		tab = res
-	case "d3":
-		res, err := bench.ExpFootprint(bench.Options{Scale: *scale, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		tab = res
-	case "d4":
-		res, err := bench.ExpLocality(bench.Options{Scale: *scale, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		tab = res
-	case "d5":
-		res, err := bench.ExpScaling(bench.Options{Scale: *scale, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		tab = res
-	case "d6":
-		res, err := bench.ExpPressure(bench.Options{Scale: *scale, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		tab = res
-	case "d9":
-		res, err := bench.ExpPlacement(bench.Options{Scale: *scale, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		tab = res
-	case "d10":
-		res, err := bench.ExpServiceOffload(bench.Options{Scale: *scale, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		tab = res
 	default:
-		fatal(fmt.Errorf("unknown -bench %q (want 1, 2, 3, larson, d2, d3, d4, d5, d6, d9 or d10)", *which))
+		e, err := bench.ByID(strings.ToUpper(*which))
+		if err != nil {
+			fatal(fmt.Errorf("unknown -bench %q (want 1, 2, 3, larson or an experiment ID such as d3)", *which))
+		}
+		if tab, err = e.Run(bench.Options{Scale: *scale, Seed: *seed}); err != nil {
+			fatal(err)
+		}
 	}
 
 	if *jsonPath != "" {
@@ -252,6 +216,16 @@ func writeTelemetry(path string, rec *telemetry.Recorder) error {
 	}
 	fmt.Fprintln(os.Stderr, "wrote", path, "and", tracePath)
 	return nil
+}
+
+// allocatorKinds lists every -allocator value: the five designs plus the two
+// offloaded variants.
+func allocatorKinds() string {
+	var names []string
+	for _, k := range append(malloc.Kinds(), malloc.KindThreadCacheSvc, malloc.KindLockFreeSvc) {
+		names = append(names, string(k))
+	}
+	return strings.Join(names, ", ")
 }
 
 func fatal(err error) {

@@ -8,8 +8,9 @@ import (
 	"mtmalloc/internal/vm"
 )
 
-// Ablations exercise the design decisions DESIGN.md §5 calls out. Each
-// returns a Table like the paper experiments do.
+// Ablations exercise individual design decisions of the model (the list is
+// Ablations, at the end of this file). Each returns a Table like the paper
+// experiments do.
 
 // AblationArenaPolicy (A1/A2) compares the three allocator designs under
 // the benchmark 1 loop at the machine's CPU count.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mtmalloc/internal/malloc"
+	"mtmalloc/internal/telemetry"
 )
 
 // These golden values were captured from the experiment harness before the
@@ -200,4 +201,184 @@ func TestReplayD3Scavenge(t *testing.T) {
 	wantu(t, "ScavengeEpochs", run.AllocStats.ScavengeEpochs, 2)
 	wantu(t, "ScavengeBytes", run.AllocStats.ScavengeBytes, 130224)
 	wantu(t, "PagesReleased", run.AllocStats.PagesReleased, 0)
+}
+
+// The goldens below extend the oracle to D5, D6, D9 and D10. They were
+// captured before serial, ptmalloc and perthread were merged into one
+// arena-list type and before the thread-cache design selectors moved from
+// CostParams into the allocator kind; all seven kinds must re-derive them.
+
+// TestReplayD5Scaling replays the D5 contention-scaling point at 16 threads
+// on the 64-CPU 4-node host for all five designs.
+func TestReplayD5Scaling(t *testing.T) {
+	goldens := []struct {
+		kind                      malloc.Kind
+		throughput                string
+		arenaLocks, depotLocks    uint64
+		trylock, casAtt, casFails uint64
+		casRetry                  uint64
+	}{
+		{malloc.KindSerial, "0x1.b28a38f1346a6p+18", 9616, 0, 0, 0, 0, 0},
+		{malloc.KindPTMalloc, "0x1.0fa99fa8b0d55p+20", 9616, 0, 96, 0, 0, 0},
+		{malloc.KindPerThread, "0x1.39570a5cee6e4p+20", 9616, 0, 0, 0, 0, 0},
+		{malloc.KindThreadCache, "0x1.596daef13fe16p+20", 235, 685, 0, 0, 0, 0},
+		{malloc.KindLockFree, "0x1.6e0a92a6f64fp+20", 0, 0, 0, 650, 1, 80},
+	}
+	for _, g := range goldens {
+		g := g
+		t.Run(string(g.kind), func(t *testing.T) {
+			cfg := LarsonConfig{Profile: NUMAServerScale(4, 64), Threads: 16, Slots: 200,
+				MinSize: 10, MaxSize: 100, Ops: 200, Runs: 1, Seed: 1, Allocator: g.kind}
+			res, err := RunLarson(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := res.Runs[0]
+			s := run.AllocStats
+			wantf(t, "Throughput", run.Throughput, g.throughput)
+			wantu(t, "ArenaLockAcqs", s.ArenaLockAcqs, g.arenaLocks)
+			wantu(t, "DepotLockAcqs", s.DepotLockAcqs, g.depotLocks)
+			wantu(t, "TrylockFailures", s.TrylockFailures, g.trylock)
+			wantu(t, "CASAttempts", s.CASAttempts, g.casAtt)
+			wantu(t, "CASFails", s.CASFails, g.casFails)
+			wantu(t, "CASRetryCycles", s.CASRetryCycles, g.casRetry)
+		})
+	}
+}
+
+// TestReplayD6Pressure replays D6 below-peak commit-limit rows. Serial runs
+// the D6 Larson shape at 0.95x its peak, living off the emergency cascade.
+// Perthread cannot survive any limit below peak in that shape (its last
+// private arena's creation is the peak), so its row uses larger objects,
+// whose private arenas must grow: at 0.97x peak the growth fails with
+// ErrNoMemory and the requests overflow to the main arena.
+func TestReplayD6Pressure(t *testing.T) {
+	goldens := []struct {
+		kind                  malloc.Kind
+		maxSize               uint32
+		ratio                 float64
+		peak                  uint64
+		throughput            string
+		emerg, retries, fails uint64
+		skips, commitFails    uint64
+	}{
+		{malloc.KindSerial, 400, 0.95, 991232, "0x1.bb55a1eb4a537p+17", 1138, 1138, 550, 550, 3376},
+		{malloc.KindPerThread, 2000, 0.97, 3153920, "0x1.47132b038e29cp+20", 1, 1, 0, 0, 73},
+	}
+	for _, g := range goldens {
+		g := g
+		t.Run(string(g.kind), func(t *testing.T) {
+			cfg := LarsonConfig{Profile: QuadXeon500(), Threads: 4, Slots: 500,
+				MinSize: 10, MaxSize: g.maxSize, Ops: 2000, Runs: 1, Seed: 1, Allocator: g.kind}
+			base, err := RunLarson(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peak := base.Runs[0].AllocStats.PeakCommitted
+			wantu(t, "PeakCommitted", peak, g.peak)
+			cfg.MemLimit = uint64(g.ratio * float64(peak))
+			cfg.TolerateOOM = true
+			res, err := RunLarson(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := res.Runs[0]
+			s := run.AllocStats
+			wantf(t, "Throughput", run.Throughput, g.throughput)
+			wantu(t, "EmergencyScavenges", s.EmergencyScavenges, g.emerg)
+			wantu(t, "OOMRetries", s.OOMRetries, g.retries)
+			wantu(t, "OOMFails", s.OOMFails, g.fails)
+			wantu(t, "OOMSkips", run.OOMSkips, g.skips)
+			wantu(t, "CommitFails", s.CommitFails, g.commitFails)
+		})
+	}
+}
+
+// TestReplayD9Placement replays the D9 producer-consumer handoff at 4
+// threads on the 16-CPU 2-node host, blind and line-aware, for both
+// magazine designs.
+func TestReplayD9Placement(t *testing.T) {
+	goldens := []struct {
+		kind           malloc.Kind
+		aware          bool
+		throughput     string
+		c2c, c2cCycles uint64
+		resident       uint64
+		quant, color   uint64
+		sharedLines    int
+	}{
+		{malloc.KindThreadCache, false, "0x1.6899f0f5da2dcp+17", 1243, 87010, 65536, 0, 0, 0},
+		{malloc.KindThreadCache, true, "0x1.711288ef6e44cp+17", 287, 20090, 65536, 336, 0, 0},
+		{malloc.KindLockFree, false, "0x1.73b5bd64689b6p+17", 1338, 93660, 77824, 0, 0, 0},
+		{malloc.KindLockFree, true, "0x1.87fd371be0cd8p+17", 159, 11130, 73728, 336, 96, 0},
+	}
+	for _, g := range goldens {
+		g := g
+		mode := "blind"
+		if g.aware {
+			mode = "lineaware"
+		}
+		t.Run(string(g.kind)+"/"+mode, func(t *testing.T) {
+			prof := NUMAServerScale(2, 16)
+			cfg := DefaultPlacement(prof)
+			cfg.Threads = 4
+			cfg.ObjsPerConsumer = 40
+			cfg.Allocator = g.kind
+			if g.aware {
+				costs := prof.AllocCosts
+				costs.LineAware = true
+				cfg.Costs = &costs
+			}
+			r, err := RunPlacement(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := r.AllocStats
+			wantf(t, "Throughput", r.Throughput, g.throughput)
+			wantu(t, "FillC2C", s.FillC2C, g.c2c)
+			wantu(t, "FillC2CCycles", s.FillC2CCycles, g.c2cCycles)
+			wantu(t, "ResidentBytes", r.ResidentBytes, g.resident)
+			wantu(t, "LineQuantBytes", s.LineQuantBytes, g.quant)
+			wantu(t, "LineColorBytes", s.LineColorBytes, g.color)
+			wantu(t, "SharedMagazineLines", uint64(r.SharedMagazineLines), uint64(g.sharedLines))
+		})
+	}
+}
+
+// TestReplayD10Offload replays the D10 rotating-Larson point at 16 threads
+// on the 64-CPU 4-node host for both offloaded kinds, telemetry on.
+func TestReplayD10Offload(t *testing.T) {
+	goldens := []struct {
+		kind                     malloc.Kind
+		throughput               string
+		appCycles, mailboxCycles uint64
+		hits, prefetches, drains uint64
+		fallbacks, epochs        uint64
+	}{
+		{malloc.KindThreadCacheSvc, "0x1.3d9bf3c631d81p+20", 1928815, 3277940, 263, 782, 1, 0, 41},
+		{malloc.KindLockFreeSvc, "0x1.534838c056fa1p+20", 1153637, 654208, 366, 881, 26, 0, 87},
+	}
+	for _, g := range goldens {
+		g := g
+		t.Run(string(g.kind), func(t *testing.T) {
+			cfg := LarsonConfig{Profile: NUMAServerScale(4, 64), Threads: 16, Slots: 200,
+				MinSize: 10, MaxSize: 100, Ops: 200, Runs: 1, Seed: 1,
+				Rotate: true, Allocator: g.kind, Telemetry: &telemetry.Config{}}
+			res, err := RunLarson(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := res.Runs[0]
+			rep := run.Telemetry.Report()
+			s := run.AllocStats
+			wantf(t, "Throughput", run.Throughput, g.throughput)
+			wantu(t, "app cycles", rep.TotalMallocCycles+rep.TotalFreeCycles, g.appCycles)
+			wantu(t, "TotalMailboxCycles", rep.TotalMailboxCycles, g.mailboxCycles)
+			wantu(t, "SvcRefillHits", s.SvcRefillHits, g.hits)
+			wantu(t, "SvcPrefetches", s.SvcPrefetches, g.prefetches)
+			wantu(t, "SvcDrains", s.SvcDrains, g.drains)
+			wantu(t, "SvcFallbacks", s.SvcFallbacks, g.fallbacks)
+			wantu(t, "SvcEpochs", s.SvcEpochs, g.epochs)
+		})
+	}
 }

@@ -15,8 +15,7 @@ import (
 //   - lfDepot (lfdepot.go): every size class a Treiber stack of spans whose
 //     head is a CAS point — push and pop are one CAS each, scavenging
 //     detaches the whole stack with one CAS and re-attaches the survivors
-//     with another. Selected by CostParams.DepotLockFree and the default for
-//     KindLockFree.
+//     with another. The depot of the lock-free kinds.
 //
 // Both implementations keep the same policy (LIFO spans, byte/span caps,
 // lastUse ages for the scavenger, fractional decay remainders) so switching

@@ -19,10 +19,10 @@ const (
 	KindThreadCache Kind = "threadcache" // per-thread magazine over a shared arena pool
 	KindLockFree    Kind = "lockfree"    // thread cache with CAS depot + buddy page backend
 
-	// Offloaded variants (CostParams.Offload forced on): the same machines
-	// with bookkeeping moved to per-node service threads (service.go). Not
-	// listed by Kinds() — experiments that sweep the five designs keep
-	// their original matrix; D10 names these explicitly.
+	// Offloaded variants: the same machines with bookkeeping moved to
+	// per-node service threads (service.go). Not listed by Kinds() —
+	// experiments that sweep the five designs keep their original matrix;
+	// D10 names these explicitly.
 	KindThreadCacheSvc Kind = "threadcache-svc"
 	KindLockFreeSvc    Kind = "lockfree-svc"
 )
@@ -41,20 +41,16 @@ func New(t *sim.Thread, kind Kind, as *vm.AddressSpace, params heap.Params, cost
 	var al Allocator
 	var err error
 	switch kind {
-	case KindSerial:
-		al, err = NewSerial(t, as, params, costs)
-	case KindPTMalloc:
-		al, err = NewPTMalloc(t, as, params, costs)
-	case KindPerThread:
-		al, err = NewPerThread(t, as, params, costs)
+	case KindSerial, KindPTMalloc, KindPerThread:
+		al, err = newArenaList(t, kind, as, params, costs)
 	case KindThreadCache:
 		al, err = NewThreadCache(t, as, params, costs)
 	case KindLockFree:
-		al, err = NewLockFree(t, as, params, costs)
+		al, err = newThreadCacheNamed(t, string(kind), as, params, costs, design{lockFree: true})
 	case KindThreadCacheSvc:
-		al, err = NewThreadCacheService(t, as, params, costs)
+		al, err = newThreadCacheNamed(t, string(kind), as, params, costs, design{offload: true})
 	case KindLockFreeSvc:
-		al, err = NewLockFreeService(t, as, params, costs)
+		al, err = newThreadCacheNamed(t, string(kind), as, params, costs, design{lockFree: true, offload: true})
 	default:
 		return nil, fmt.Errorf("malloc: unknown allocator kind %q", kind)
 	}

@@ -20,9 +20,9 @@ func TestLockFreeBatchAccounting(t *testing.T) {
 		costs.CacheBatch = 4
 		costs.CacheHigh = 8
 		costs.CacheAdaptive = -1
-		al, err := NewLockFree(main, as, heap.DefaultParams(), costs)
+		al, err := newThreadCacheNamed(main, "lockfree", as, heap.DefaultParams(), costs, design{lockFree: true})
 		if err != nil {
-			t.Errorf("NewLockFree: %v", err)
+			t.Errorf("new lockfree: %v", err)
 			return
 		}
 		al.AttachThread(main)
@@ -99,9 +99,9 @@ func TestLockFreeTorture(t *testing.T) {
 	var al *ThreadCache
 	err := m.Run(func(main *sim.Thread) {
 		var err error
-		al, err = NewLockFree(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err = newThreadCacheNamed(main, "lockfree", as, heap.DefaultParams(), DefaultCostParams(), design{lockFree: true})
 		if err != nil {
-			t.Errorf("NewLockFree: %v", err)
+			t.Errorf("new lockfree: %v", err)
 			return
 		}
 		// Mailboxes for cross-thread frees: workers drop every 4th chunk in
@@ -195,9 +195,9 @@ func TestLockFreeTorture(t *testing.T) {
 func TestLockFreeFreeIgnoresFakeHeaders(t *testing.T) {
 	m, as := newWorld(1, 7)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewLockFree(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err := newThreadCacheNamed(main, "lockfree", as, heap.DefaultParams(), DefaultCostParams(), design{lockFree: true})
 		if err != nil {
-			t.Errorf("NewLockFree: %v", err)
+			t.Errorf("new lockfree: %v", err)
 			return
 		}
 		al.AttachThread(main)
@@ -251,9 +251,9 @@ func TestLockFreeScavengeDuringChurn(t *testing.T) {
 		costs.ScavengeInterval = 40000
 		costs.ScavengeMinBinBytes = 16 << 10
 		var err error
-		al, err = NewLockFree(main, as, heap.DefaultParams(), costs)
+		al, err = newThreadCacheNamed(main, "lockfree", as, heap.DefaultParams(), costs, design{lockFree: true})
 		if err != nil {
-			t.Errorf("NewLockFree: %v", err)
+			t.Errorf("new lockfree: %v", err)
 			return
 		}
 		var kids []*sim.Thread

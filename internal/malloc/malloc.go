@@ -1,17 +1,23 @@
 // Package malloc assembles heap arenas into the allocator designs the paper
-// compares:
+// compares. The Kind passed to New is the only design selector; CostParams
+// carries instruction costs and ablation knobs.
 //
-//   - Serial: one arena behind one mutex — the classic thread-safe libc
+// Three kinds are one arena-list allocator (arenalist.go) running the same
+// boundary-tag arenas, differing only in how a thread picks its arena:
+//
+//   - serial: one arena behind one mutex — the classic thread-safe libc
 //     malloc (the paper's Solaris 2.6 allocator).
 //
-//   - PTMalloc: Gloger's ptmalloc as shipped in glibc 2.0/2.1 — an arena
+//   - ptmalloc: Gloger's ptmalloc as shipped in glibc 2.0/2.1 — an arena
 //     list searched with trylock, growing a new arena when every existing
 //     one is busy, with per-thread last-arena caching.
 //
-//   - PerThread: one private arena per thread (the "per-thread storage"
+//   - perthread: one private arena per thread (the "per-thread storage"
 //     option 2 from the paper's §2), cross-thread frees lock the owner.
 //
-//   - ThreadCache: the magazine design later allocators converged on,
+// The other four kinds are one thread-cache machine (threadcache.go):
+//
+//   - threadcache: the magazine design later allocators converged on,
 //     grown here into a three-tier hierarchy:
 //
 //     magazine -> transfer cache -> arena pool
@@ -29,14 +35,18 @@
 //     arena-lock frees. Each depot class parks at most DepotCap spans;
 //     overflow falls through to tier 3, the CPU-bounded shared arena pool.
 //
-//   - LockFree: the thread cache with its shared tiers re-priced from
+//   - lockfree: the thread cache with its shared tiers re-priced from
 //     mutexes to CAS (the D5 ablation): the depot becomes per-class Treiber
 //     span stacks (lfdepot.go), pool-shard arena selection becomes an atomic
-//     cursor, magazines re-home after a node migration (CacheRehome), and
+//     cursor, magazines re-home after a node migration, and
 //     cacheable refills bypass the arenas entirely, carving spans out of a
 //     non-blocking buddy page allocator (heap.Buddy) whose level bitmaps are
 //     updated by CAS. Its depot lock acquisitions are zero by construction;
 //     the contention it does pay surfaces in Stats.CASAttempts/CASFails.
+//
+//   - threadcache-svc and lockfree-svc: the two magazine designs with their
+//     bookkeeping offloaded to one service thread per NUMA node
+//     (service.go, experiment D10).
 //
 // All variants serve requests at or above the mmap threshold from dedicated
 // anonymous mappings, as glibc does ("mmap() for allocation requests larger
@@ -44,7 +54,7 @@
 // mmap-region reuse cache (MmapReuseCap bytes, MmapReuseWork cycles per
 // operation) parks munmapped above-threshold regions — pages intact — on a
 // bounded size-bucketed list and re-hands them out without a syscall or
-// fresh first-touch faults. ThreadCache enables it by default
+// fresh first-touch faults. The thread cache enables it by default
 // (DefaultMmapReuseCap); the paper's designs leave it off so their measured
 // syscall and fault counts stay faithful. Stats reports all tiers:
 // Depot{Hits,Misses,Donates,Overflows,Chunks,Bytes}, CachedBytes,
@@ -123,7 +133,7 @@
 // variables that are improperly aligned with regard to hardware caches"
 // (Table 4). Those effects come from coherence traffic on allocator globals
 // at a finer grain than the engine's batch scheduling resolves, so they are
-// modelled analytically (DESIGN.md §2): every operation on an allocator
+// modelled analytically (ARCHITECTURE.md, "Allocator designs"): every operation on an allocator
 // instance shared by s active threads pays SharedTaxUnit*(s-1)/s cycles,
 // and operations on the main arena — whose metadata shares its cache line
 // with the library globals — pay MainArenaSloshUnit*(s-2) more once a third
@@ -230,20 +240,6 @@ type CostParams struct {
 	// so the flag has no effect there.
 	NUMANodeBlind bool
 
-	// DepotLockFree replaces the depot's per-class mutexes with Treiber span
-	// stacks priced by the CAS model (lfdepot.go) and makes pool-shard arena
-	// selection read-mostly: the round-robin cursor becomes a priced atomic
-	// fetch-add, and the list lock is only taken to grow a shard. The mutex
-	// pricing — and every pre-existing design's numbers — is untouched when
-	// the flag is off.
-	DepotLockFree bool
-	// BuddyBackend routes cacheable-size refills to a non-blocking buddy page
-	// allocator (heap.Buddy, one per node) instead of the mutex-guarded
-	// arenas: magazine misses carve chunks from buddy-backed spans and whole
-	// blocks return to the buddy when their last chunk comes home, so the
-	// small-object path acquires no arena lock at all. Set (with
-	// DepotLockFree and CacheRehome) by NewLockFree.
-	BuddyBackend bool
 	// BuddyZonePages sizes the buddy backend's zones in pages (rounded up to
 	// a power of two; 0 takes heap.DefaultBuddyZonePages).
 	BuddyZonePages int
@@ -269,21 +265,7 @@ type CostParams struct {
 	// bit-identical.
 	LineAware bool
 
-	// CacheRehome re-homes a thread's magazine when the scheduler migrates it
-	// to another NUMA node: on the first operation that observes the node
-	// change, chunks owned by other nodes are released home and the home
-	// arena is re-picked on the new node's shard. Off by default (the D4
-	// designs keep their measured placement drift); NewLockFree turns it on.
-	CacheRehome bool
-
-	// Offload moves the allocator's bookkeeping off the application threads
-	// and onto one service thread per NUMA node, pinned to its own CPU
-	// (service.go): magazine flushes and remote-free batches become bounded
-	// mailbox posts, refills are prefetched ahead of demand, and the scavenge
-	// cascade is driven from the service thread's epoch loop. Off by default
-	// — every pre-existing design and golden is priced exactly as before.
-	// The SpeedMalloc arrangement, at the cost of one core per node.
-	Offload bool
+	// Service-thread tuning for the offloaded kinds (service.go).
 	// ServiceInterval is the service thread's epoch length in cycles (how
 	// often it polls its mailbox, prefetches and scavenges). 0 takes
 	// DefaultServiceInterval.
@@ -322,7 +304,7 @@ const (
 	DefaultBuddyReturnWork = 30
 )
 
-// Service-thread defaults (CostParams.Offload). The epoch is short relative
+// Service-thread defaults (the offloaded kinds). The epoch is short relative
 // to a scavenge interval — the mailbox must turn around within a burst — and
 // the mailbox and watermark are sized in spans, not chunks. The mailbox cap
 // must absorb a node's worth of flush traffic for one epoch: a post the cap
@@ -442,10 +424,10 @@ type Stats struct {
 	CASAttempts    uint64
 	CASFails       uint64
 	CASRetryCycles uint64
-	// Magazine re-homing counters (CacheRehome).
+	// Magazine re-homing counters (lock-free kinds).
 	CacheRehomes  uint64 // thread caches re-homed after a node migration
 	RehomedChunks uint64 // chunks released home by those re-homings
-	// Service-thread offload counters (CostParams.Offload; all zero inline).
+	// Service-thread offload counters (offloaded kinds; all zero inline).
 	SvcEpochs       uint64 // service-thread epochs run
 	SvcRefillHits   uint64 // magazine misses served by a prefetched mailbox span
 	SvcRefillMisses uint64 // mailbox checked with no span ready (fell to depot/arena)
@@ -456,7 +438,7 @@ type Stats struct {
 	SvcPrefetches   uint64 // spans prefetched into mailboxes ahead of demand
 	SvcParkedChunks int    // chunks parked in mailboxes right now
 	SvcParkedBytes  uint64 // bytes parked in mailboxes right now
-	// Buddy page-backend counters (BuddyBackend; mirrors heap.BuddyStats).
+	// Buddy page-backend counters (lock-free kinds; mirrors heap.BuddyStats).
 	BuddyAllocs    uint64 // block allocations served by the buddy
 	BuddyFrees     uint64 // whole blocks returned to the buddy
 	BuddySplits    uint64 // block splits on the alloc path
@@ -495,8 +477,8 @@ type Stats struct {
 	FillRemoteCycles uint64
 	FillC2C          uint64 // cache-to-cache transfers from another CPU's dirty copy
 	FillC2CCycles    uint64
-	ArenaCount     int
-	Heap           heap.Stats // summed over arenas
+	ArenaCount       int
+	Heap             heap.Stats // summed over arenas
 }
 
 // Allocator is the public allocator interface: the system malloc/free pair

@@ -88,9 +88,9 @@ func TestMmapThresholdAllKinds(t *testing.T) {
 func TestPTMallocCreatesArenaUnderContention(t *testing.T) {
 	m, as := newWorld(2, 3)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewPTMalloc(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err := newArenaList(main, KindPTMalloc, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewPTMalloc: %v", err)
+			t.Errorf("new ptmalloc: %v", err)
 			return
 		}
 		var ws []*sim.Thread
@@ -135,9 +135,9 @@ func TestPTMallocCreatesArenaUnderContention(t *testing.T) {
 func TestPTMallocCrossThreadFree(t *testing.T) {
 	m, as := newWorld(2, 5)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewPTMalloc(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err := newArenaList(main, KindPTMalloc, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewPTMalloc: %v", err)
+			t.Errorf("new ptmalloc: %v", err)
 			return
 		}
 		// Producer allocates, consumer frees: the chunks must return to the
@@ -190,9 +190,9 @@ func TestPTMallocCrossThreadFree(t *testing.T) {
 func TestPerThreadArenasAreDistinct(t *testing.T) {
 	m, as := newWorld(2, 11)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewPerThread(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err := newArenaList(main, KindPerThread, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewPerThread: %v", err)
+			t.Errorf("new perthread: %v", err)
 			return
 		}
 		arenas := make(map[*heap.Arena]bool)
@@ -225,9 +225,9 @@ func TestPerThreadArenasAreDistinct(t *testing.T) {
 func TestSerialSingleArena(t *testing.T) {
 	m, as := newWorld(2, 13)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewSerial(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err := newArenaList(main, KindSerial, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewSerial: %v", err)
+			t.Errorf("new serial: %v", err)
 			return
 		}
 		var ws []*sim.Thread
@@ -270,9 +270,9 @@ func TestSharedTaxCharged(t *testing.T) {
 		err := m.Run(func(main *sim.Thread) {
 			costs := DefaultCostParams()
 			costs.SharedTaxUnit = 5000
-			al, err := NewPTMalloc(main, as, heap.DefaultParams(), costs)
+			al, err := newArenaList(main, KindPTMalloc, as, heap.DefaultParams(), costs)
 			if err != nil {
-				t.Errorf("NewPTMalloc: %v", err)
+				t.Errorf("new ptmalloc: %v", err)
 				return
 			}
 			var ws []*sim.Thread
@@ -311,9 +311,9 @@ func TestMainArenaSloshTax(t *testing.T) {
 		costs := DefaultCostParams()
 		costs.SharedTaxUnit = 100
 		costs.MainArenaSloshUnit = 2000
-		al, err := NewPTMalloc(main, as, heap.DefaultParams(), costs)
+		al, err := newArenaList(main, KindPTMalloc, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewPTMalloc: %v", err)
+			t.Errorf("new ptmalloc: %v", err)
 			return
 		}
 		var ws []*sim.Thread
@@ -377,7 +377,7 @@ func TestAlignedVariant(t *testing.T) {
 	m, as := newWorld(1, 23)
 	err := m.Run(func(th *sim.Thread) {
 		params := Aligned(heap.DefaultParams(), 32)
-		al, err := NewPTMalloc(th, as, params, DefaultCostParams())
+		al, err := newArenaList(th, KindPTMalloc, as, params, DefaultCostParams())
 		if err != nil {
 			t.Errorf("New: %v", err)
 			return

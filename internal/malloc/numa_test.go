@@ -374,9 +374,9 @@ func TestTwoNodeChurnTortureWithScavenge(t *testing.T) {
 func TestSumStatsDropsNoHeapField(t *testing.T) {
 	m, as := newWorld(2, 31)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewPTMalloc(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err := newArenaList(main, KindPTMalloc, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewPTMalloc: %v", err)
+			t.Errorf("new ptmalloc: %v", err)
 			return
 		}
 		r := xrand.New(31, 1)

@@ -19,9 +19,9 @@ import (
 func TestPerThreadOverflowsToMainUnderCommitLimit(t *testing.T) {
 	m, as := newWorld(2, 7)
 	err := m.Run(func(th *sim.Thread) {
-		p, err := NewPerThread(th, as, heap.DefaultParams(), DefaultCostParams())
+		p, err := newArenaList(th, KindPerThread, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewPerThread: %v", err)
+			t.Errorf("new perthread: %v", err)
 			return
 		}
 		// Seed the main arena with free chunks the fallback can live off.

@@ -10,12 +10,15 @@ import (
 )
 
 // TestCacheRehomeAfterMigration is the regression test for magazine
-// re-homing (CacheRehome): a worker fills its magazine on one node, sleeps,
-// and is forced awake on the other node — its old CPU (and that whole node)
-// is kept busy past its wake time by hog threads, while the other node's
-// CPUs are left idle, so the scheduler's earliest-free pick migrates it. The
+// re-homing, which the lock-free kind turns on: a worker fills its magazine
+// on one node, sleeps, and is forced awake on the other node — its old CPU
+// (and that whole node) is kept busy past its wake time by hog threads,
+// while the other node's CPUs are left idle, so the scheduler's
+// earliest-free pick migrates it. The
 // first operation after the migration must release the now-remote chunks
-// home and re-pick a home arena on the new node's shard.
+// home and serve the caller from the new node. Small refills carve from the
+// buddy backend, so the thread may never pick a home arena; if it has one,
+// the arena must be on the new node's shard.
 //
 // The hogs steer themselves: each spins until a deadline chosen by the node
 // it is running on (long past the wake on the worker's node, well before it
@@ -40,12 +43,10 @@ func TestCacheRehomeAfterMigration(t *testing.T) {
 	)
 	var al *ThreadCache
 	err := m.Run(func(main *sim.Thread) {
-		costs := DefaultCostParams()
-		costs.CacheRehome = true
 		var err error
-		al, err = NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err = newThreadCacheNamed(main, "lockfree", as, heap.DefaultParams(), DefaultCostParams(), design{lockFree: true})
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("new lockfree: %v", err)
 			return
 		}
 		worker := main.Spawn("worker", func(w *sim.Thread) {
@@ -87,8 +88,11 @@ func TestCacheRehomeAfterMigration(t *testing.T) {
 			if st.RehomedChunks != 16 {
 				t.Errorf("RehomedChunks = %d, want the 16 parked chunks", st.RehomedChunks)
 			}
-			if home := al.caches[w.ID()].home; home == nil || al.nodeOfArena(home) != n1 {
+			if home := al.caches[w.ID()].home; home != nil && al.nodeOfArena(home) != n1 {
 				t.Errorf("post-migration home arena not on node %d", n1)
+			}
+			if got := al.nodeOfEntry(tcEntry{mem: p}); got != n1 {
+				t.Errorf("post-migration chunk on node %d, want %d", got, n1)
 			}
 			if err := al.Check(); err != nil {
 				t.Errorf("Check after rehome: %v", err)

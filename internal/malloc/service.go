@@ -6,7 +6,6 @@ import (
 	"mtmalloc/internal/heap"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/telemetry"
-	"mtmalloc/internal/vm"
 )
 
 // This file is the SpeedMalloc-style offload refactor (experiment D10): one
@@ -724,34 +723,16 @@ func (s *Service) check(seen map[uint64]bool, owns func(tcEntry) error) error {
 	return nil
 }
 
-// Service returns the allocator's offload engine, nil when Offload is off.
-// The harness uses it to start the per-node threads once the simulation's
-// main thread exists and to stop them before the run ends.
+// Service returns the allocator's offload engine, nil unless the kind is
+// offloaded. The harness uses it to start the per-node threads once the
+// simulation's main thread exists and to stop them before the run ends.
 func (tc *ThreadCache) Service() *Service { return tc.svc }
 
 // ServiceOf unwraps al (through the resilient shell) to its offload engine,
-// nil for designs without one or with Offload off.
+// nil for designs without one.
 func ServiceOf(al Allocator) *Service {
 	if p, ok := al.(interface{ Service() *Service }); ok {
 		return p.Service()
 	}
 	return nil
-}
-
-// NewThreadCacheService is the offloaded variant of NewThreadCache: the same
-// magazine/depot/arena machine with CostParams.Offload forced on.
-func NewThreadCacheService(t *sim.Thread, as *vm.AddressSpace, params heap.Params, costs CostParams) (*ThreadCache, error) {
-	costs.Offload = true
-	return newThreadCacheNamed(t, "threadcache-svc", as, params, costs)
-}
-
-// NewLockFreeService is the offloaded variant of NewLockFree: CAS depot,
-// buddy backend and rehoming, with the bookkeeping moved to the service
-// threads.
-func NewLockFreeService(t *sim.Thread, as *vm.AddressSpace, params heap.Params, costs CostParams) (*ThreadCache, error) {
-	costs.Offload = true
-	costs.DepotLockFree = true
-	costs.BuddyBackend = true
-	costs.CacheRehome = true
-	return newThreadCacheNamed(t, "lockfree-svc", as, params, costs)
 }

@@ -29,9 +29,9 @@ func TestServiceMailboxRefillFlushCycle(t *testing.T) {
 		// free burst overflows past the shelf into the box.
 		costs := svcCosts(50000)
 		costs.ServiceWatermark = 1
-		al, err := NewThreadCacheService(main, as, heap.DefaultParams(), costs)
+		al, err := newThreadCacheNamed(main, "threadcache-svc", as, heap.DefaultParams(), costs, design{offload: true})
 		if err != nil {
-			t.Errorf("NewThreadCacheService: %v", err)
+			t.Errorf("new threadcache-svc: %v", err)
 			return
 		}
 		svc := al.Service()
@@ -132,9 +132,9 @@ func TestServiceMailboxCapFallback(t *testing.T) {
 		costs := svcCosts(10_000_000)
 		costs.ServiceMailboxCap = 1
 		costs.ServiceWatermark = 1
-		al, err := NewThreadCacheService(main, as, heap.DefaultParams(), costs)
+		al, err := newThreadCacheNamed(main, "threadcache-svc", as, heap.DefaultParams(), costs, design{offload: true})
 		if err != nil {
-			t.Errorf("NewThreadCacheService: %v", err)
+			t.Errorf("new threadcache-svc: %v", err)
 			return
 		}
 		al.Service().Start(main)
@@ -184,9 +184,9 @@ func TestServiceMailboxCapFallback(t *testing.T) {
 func TestServiceReclaimEmptiesMailboxes(t *testing.T) {
 	m, as := newNUMAWorld(4, 2, 41)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewThreadCacheService(main, as, heap.DefaultParams(), svcCosts(10_000_000))
+		al, err := newThreadCacheNamed(main, "threadcache-svc", as, heap.DefaultParams(), svcCosts(10_000_000), design{offload: true})
 		if err != nil {
-			t.Errorf("NewThreadCacheService: %v", err)
+			t.Errorf("new threadcache-svc: %v", err)
 			return
 		}
 		svc := al.Service()
@@ -224,9 +224,9 @@ func TestServiceSingleCascadeDriver(t *testing.T) {
 		costs := svcCosts(100000)
 		costs.ScavengeInterval = 100000
 		costs.ScavengeDecay = 50
-		al, err := NewThreadCacheService(main, as, heap.DefaultParams(), costs)
+		al, err := newThreadCacheNamed(main, "threadcache-svc", as, heap.DefaultParams(), costs, design{offload: true})
 		if err != nil {
-			t.Errorf("NewThreadCacheService: %v", err)
+			t.Errorf("new threadcache-svc: %v", err)
 			return
 		}
 		scav := al.Scavenger()

@@ -62,7 +62,7 @@ type ThreadCache struct {
 	// depots are the central transfer caches, one per node shard (a single
 	// entry on flat or node-blind machines); nil when disabled (DepotCap<0).
 	// The implementation is pluggable (depot.go): per-class mutexes by
-	// default, Treiber CAS stacks under DepotLockFree.
+	// default, Treiber CAS stacks for the lock-free design.
 	depots []depot
 
 	// shards is the node-sharded arena pool; a single shard with node -1
@@ -70,11 +70,11 @@ type ThreadCache struct {
 	shards    []*poolShard
 	nodeBlind bool
 
-	// lf is the buddy page backend (BuddyBackend): cacheable refills carve
+	// lf is the buddy page backend (lock-free design): cacheable refills carve
 	// spans from it instead of locking arenas. nil for the mutex designs.
 	lf *lfBackend
 	// rehome re-homes a migrated thread's magazine on the first operation
-	// that observes its node changed (CacheRehome).
+	// that observes its node changed (lock-free design).
 	rehome bool
 
 	batch     int
@@ -95,7 +95,7 @@ type ThreadCache struct {
 	binPad      uint64
 
 	// svc is the per-node service-thread offload engine (service.go), nil
-	// unless CostParams.Offload opted in. Its mailbox fast paths are inert
+	// unless the kind is offloaded. Its mailbox fast paths are inert
 	// until the harness calls Service().Start.
 	svc *Service
 
@@ -127,7 +127,7 @@ type poolShard struct {
 	next   int
 	cap    int
 	// cursor prices the round-robin selection as an atomic fetch-add when the
-	// pool is read-mostly (DepotLockFree): home-arena picks happen only on a
+	// pool is read-mostly (lock-free design): home-arena picks happen only on a
 	// thread's first miss and after a migration, and never take the list lock
 	// — that is reserved for growing the shard. nil (unpriced Go-side
 	// bookkeeping, the historic behaviour) for the mutex designs.
@@ -164,7 +164,7 @@ type tcache struct {
 	// cutoff as reclaimable.
 	lastOp sim.Time
 	// node is the NUMA node the owner was last seen on (-1 until rehoming
-	// observes one); only maintained when CacheRehome is on.
+	// observes one); only maintained when rehoming is on.
 	node int
 }
 
@@ -183,17 +183,51 @@ func (tc *ThreadCache) classOf(c *tcache, csz uint32) *tcClass {
 	return cl
 }
 
+// design is what tells the four thread-cache kinds apart. New is the only
+// place that picks one: the kind is the design selector, and CostParams
+// carries costs and ablation knobs only.
+type design struct {
+	// lockFree builds the fifth design under study (KindLockFree): the same
+	// magazine, depot, node-sharded pool and scavenger machine with every
+	// shared tier re-priced from mutexes to CAS.
+	//
+	//   - the depot's per-class mutexes become Treiber span stacks
+	//     (lfdepot.go), so a magazine miss or flush pays one CAS instead of a
+	//     lock round trip and a preempted thread can never convoy the class;
+	//   - pool-shard arena selection becomes a priced atomic cursor, the list
+	//     lock only guarding shard growth;
+	//   - cacheable refills bypass the arenas entirely: spans are carved from
+	//     a per-node non-blocking buddy page allocator (heap.Buddy) whose
+	//     level bitmaps are claimed and coalesced by CAS, and a span's last
+	//     returning chunk frees its whole block back;
+	//   - magazines re-home after a scheduler migration, since without arena
+	//     ownership nothing else would repatriate a migrated thread's
+	//     remotely-placed chunks.
+	//
+	// Experiment D5 ablates it against the four mutex-priced designs: its
+	// depot lock acquisitions are zero by construction, and its contention
+	// surfaces in Stats.CASAttempts/CASFails/CASRetryCycles instead.
+	lockFree bool
+	// offload moves the bookkeeping off the application threads and onto
+	// one service thread per NUMA node, pinned to its own CPU (service.go,
+	// the -svc kinds): magazine flushes and remote-free batches become
+	// bounded mailbox posts, refills are prefetched ahead of demand, and the
+	// scavenge cascade is driven from the service thread's epoch loop. The
+	// SpeedMalloc arrangement, at the cost of one core per node.
+	offload bool
+}
+
 // NewThreadCache creates the thread-cache allocator on as. Zero-valued cache
 // knobs in costs take the DefaultCostParams values.
 func NewThreadCache(t *sim.Thread, as *vm.AddressSpace, params heap.Params, costs CostParams) (*ThreadCache, error) {
-	return newThreadCacheNamed(t, "threadcache", as, params, costs)
+	return newThreadCacheNamed(t, "threadcache", as, params, costs, design{})
 }
 
-// newThreadCacheNamed is the shared constructor behind NewThreadCache and
-// NewLockFree: the two designs are one machine differing only in the costs
-// flags that pick the depot implementation, the pool-cursor pricing, the
-// page backend and the rehoming policy.
-func newThreadCacheNamed(t *sim.Thread, name string, as *vm.AddressSpace, params heap.Params, costs CostParams) (*ThreadCache, error) {
+// newThreadCacheNamed is the shared constructor behind the four thread-cache
+// kinds: one machine, with d picking the depot implementation, the
+// pool-cursor pricing, the page backend, the rehoming policy and the
+// service threads.
+func newThreadCacheNamed(t *sim.Thread, name string, as *vm.AddressSpace, params heap.Params, costs CostParams, d design) (*ThreadCache, error) {
 	def := DefaultCostParams()
 	if costs.CacheHit == 0 {
 		costs.CacheHit = def.CacheHit
@@ -264,7 +298,7 @@ func newThreadCacheNamed(t *sim.Thread, name string, as *vm.AddressSpace, params
 		maxBlock:   costs.CacheMax,
 		adaptive:   costs.CacheAdaptive >= 0,
 		growStreak: costs.CacheGrowStreak,
-		rehome:     costs.CacheRehome,
+		rehome:     d.lockFree,
 	}
 	// Shard the pool by node unless the machine is flat or the profile asked
 	// for the node-blind baseline. The single-shard case is the original
@@ -287,7 +321,7 @@ func newThreadCacheNamed(t *sim.Thread, name string, as *vm.AddressSpace, params
 		}
 		as.SetReuseNodeAffinity(true)
 	}
-	if costs.DepotLockFree {
+	if d.lockFree {
 		// Read-mostly pool: the shards' round-robin cursors become priced
 		// atomic fetch-adds (the list lock now guards growth only).
 		for _, sh := range tc.shards {
@@ -304,20 +338,20 @@ func newThreadCacheNamed(t *sim.Thread, name string, as *vm.AddressSpace, params
 			if len(tc.shards) > 1 {
 				dname = fmt.Sprintf("%s.n%d", b.name, len(tc.depots))
 			}
-			if costs.DepotLockFree {
+			if d.lockFree {
 				tc.depots = append(tc.depots, newLFDepot(as.Machine(), dname, costs.DepotCap, capBytes, costs.DepotXfer, &b.stats))
 			} else {
 				tc.depots = append(tc.depots, newTransferCache(as.Machine(), dname, costs.DepotCap, capBytes, costs.DepotXfer, &b.stats))
 			}
 		}
 	}
-	if costs.BuddyBackend {
+	if d.lockFree {
 		tc.lf = newLFBackend(b.name, as, tc.shards, costs, &b.stats)
 	}
 	if costs.ScavengeInterval > 0 {
 		tc.scav = tc.newScavenger(costs)
 	}
-	if costs.Offload {
+	if d.offload {
 		if costs.ServiceInterval <= 0 {
 			costs.ServiceInterval = DefaultServiceInterval
 		}

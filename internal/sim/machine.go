@@ -23,8 +23,8 @@ type Costs struct {
 	// MutexMaxWait caps a single contended Lock wait. A real wait lasts at
 	// most a few critical sections; without the cap, a thread whose clock
 	// lags another's committed batch would charge the whole batch gap
-	// (DESIGN.md §6). Saturated locks are unaffected: their per-acquire
-	// waits are one critical section long.
+	// (see the package comment's accuracy trade-offs). Saturated locks are
+	// unaffected: their per-acquire waits are one critical section long.
 	MutexMaxWait Time
 	// DeschedResidual is the extra delay charged when a lock is held by a
 	// thread that was preempted mid-critical-section.

@@ -31,9 +31,8 @@ type Thread struct {
 	start  Time // clock when the body began executing
 	finish Time // clock when the body returned
 
-	state   threadState
-	resume  chan struct{}
-	yielded chan struct{}
+	state  threadState
+	resume chan struct{}
 
 	body func(*Thread)
 	rng  *xrand.RNG
