@@ -203,6 +203,37 @@ func TestReplayD3Scavenge(t *testing.T) {
 	wantu(t, "PagesReleased", run.AllocStats.PagesReleased, 0)
 }
 
+// TestReplayLockFreeScavenge replays the D3 idle-decay shape on the
+// lock-free design at the profile's own decay rate (50%), so the depot's
+// scavenge keeps survivors and re-attaches them with a second CAS. The
+// CAS counters pin that charge sequence: dropping the re-attach CAS moves
+// CASAttempts.
+func TestReplayLockFreeScavenge(t *testing.T) {
+	prof := QuadXeon500()
+	costs := prof.ScavengeCosts()
+	costs.ScavengeMinBinBytes = 32 << 10
+	cfg := DefaultLarson(prof)
+	cfg.Threads = 4
+	cfg.Ops = 2500
+	cfg.Runs = 1
+	cfg.Seed = 1
+	cfg.Allocator = malloc.KindLockFree
+	cfg.Costs = &costs
+	cfg.Phases = []Phase{{Ops: 1500, IdleSeconds: 0.05}, {Ops: 1000}}
+	res, err := RunLarson(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := res.Runs[0]
+	s := run.AllocStats
+	wantf(t, "Throughput", run.Throughput, "0x1.78d6ca307f182p+17")
+	wantu(t, "ScavengeEpochs", s.ScavengeEpochs, 1)
+	wantu(t, "ScavengeBytes", s.ScavengeBytes, 129520)
+	wantu(t, "PagesReleased", s.PagesReleased, 0)
+	wantu(t, "CASAttempts", s.CASAttempts, 440)
+	wantu(t, "CASFails", s.CASFails, 36)
+}
+
 // The goldens below extend the oracle to D5, D6, D9 and D10. They were
 // captured before serial, ptmalloc and perthread were merged into one
 // arena-list type and before the thread-cache design selectors moved from

@@ -44,13 +44,13 @@ func New(t *sim.Thread, kind Kind, as *vm.AddressSpace, params heap.Params, cost
 	case KindSerial, KindPTMalloc, KindPerThread:
 		al, err = newArenaList(t, kind, as, params, costs)
 	case KindThreadCache:
-		al, err = NewThreadCache(t, as, params, costs)
+		al, err = newThreadCache(t, string(kind), as, params, costs, design{})
 	case KindLockFree:
-		al, err = newThreadCacheNamed(t, string(kind), as, params, costs, design{lockFree: true})
+		al, err = newThreadCache(t, string(kind), as, params, costs, design{lockFree: true})
 	case KindThreadCacheSvc:
-		al, err = newThreadCacheNamed(t, string(kind), as, params, costs, design{offload: true})
+		al, err = newThreadCache(t, string(kind), as, params, costs, design{offload: true})
 	case KindLockFreeSvc:
-		al, err = newThreadCacheNamed(t, string(kind), as, params, costs, design{lockFree: true, offload: true})
+		al, err = newThreadCache(t, string(kind), as, params, costs, design{lockFree: true, offload: true})
 	default:
 		return nil, fmt.Errorf("malloc: unknown allocator kind %q", kind)
 	}

@@ -23,10 +23,6 @@ type lfBackend struct {
 	as    *vm.AddressSpace
 	nodes []*lfNode
 
-	zonePages  int
-	carveWork  int64
-	returnWork int64
-
 	// pageSpan maps every page of every live block to its span, so free-side
 	// routing is one map probe (the stand-in for a real allocator's radix
 	// walk, priced at TSDRead scale by the caller).
@@ -82,15 +78,12 @@ func (sp *lfSpan) avail() int { return len(sp.freeList) + (sp.chunks - sp.carved
 
 func newLFBackend(name string, as *vm.AddressSpace, shards []*poolShard, costs CostParams, stats *Stats) *lfBackend {
 	be := &lfBackend{
-		as:         as,
-		zonePages:  costs.BuddyZonePages,
-		carveWork:  costs.BuddyCarveWork,
-		returnWork: costs.BuddyReturnWork,
-		pageSpan:   make(map[uint64]*lfSpan),
-		lineAware:  costs.LineAware,
-		lineSize:   as.LineSize(),
-		colorSeq:   make(map[int]int),
-		stats:      stats,
+		as:        as,
+		pageSpan:  make(map[uint64]*lfSpan),
+		lineAware: costs.LineAware,
+		lineSize:  as.LineSize(),
+		colorSeq:  make(map[int]int),
+		stats:     stats,
 	}
 	for _, sh := range shards {
 		bname := name + ".buddy"
@@ -99,7 +92,7 @@ func newLFBackend(name string, as *vm.AddressSpace, shards []*poolShard, costs C
 		}
 		be.nodes = append(be.nodes, &lfNode{
 			node:    sh.node,
-			buddy:   heap.NewBuddy(as, bname, be.zonePages, sh.node),
+			buddy:   heap.NewBuddy(as, bname, heap.DefaultBuddyZonePages, sh.node),
 			partial: make(map[uint32][]*lfSpan),
 		})
 	}
@@ -146,7 +139,7 @@ func (be *lfBackend) refill(t *sim.Thread, node int, csz uint32, want, batch int
 				sp.carved++
 			}
 			sp.live++
-			t.Charge(sim.Time(be.carveWork))
+			t.Charge(buddyCarveWork)
 			out = append(out, tcEntry{mem: mem})
 		}
 		if sp.avail() == 0 {
@@ -250,7 +243,7 @@ func (be *lfBackend) returnChunk(t *sim.Thread, mem uint64) error {
 	if sp.live <= 0 {
 		return fmt.Errorf("%w: 0x%x returned to an empty span", heap.ErrBadFree, mem)
 	}
-	t.Charge(sim.Time(be.returnWork))
+	t.Charge(buddyReturnWork)
 	sp.freeList = append(sp.freeList, mem)
 	sp.live--
 	if sp.live > 0 {

@@ -20,7 +20,7 @@ func TestLockFreeBatchAccounting(t *testing.T) {
 		costs.CacheBatch = 4
 		costs.CacheHigh = 8
 		costs.CacheAdaptive = -1
-		al, err := newThreadCacheNamed(main, "lockfree", as, heap.DefaultParams(), costs, design{lockFree: true})
+		al, err := newThreadCache(main, "lockfree", as, heap.DefaultParams(), costs, design{lockFree: true})
 		if err != nil {
 			t.Errorf("new lockfree: %v", err)
 			return
@@ -99,7 +99,7 @@ func TestLockFreeTorture(t *testing.T) {
 	var al *ThreadCache
 	err := m.Run(func(main *sim.Thread) {
 		var err error
-		al, err = newThreadCacheNamed(main, "lockfree", as, heap.DefaultParams(), DefaultCostParams(), design{lockFree: true})
+		al, err = newThreadCache(main, "lockfree", as, heap.DefaultParams(), DefaultCostParams(), design{lockFree: true})
 		if err != nil {
 			t.Errorf("new lockfree: %v", err)
 			return
@@ -195,7 +195,7 @@ func TestLockFreeTorture(t *testing.T) {
 func TestLockFreeFreeIgnoresFakeHeaders(t *testing.T) {
 	m, as := newWorld(1, 7)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := newThreadCacheNamed(main, "lockfree", as, heap.DefaultParams(), DefaultCostParams(), design{lockFree: true})
+		al, err := newThreadCache(main, "lockfree", as, heap.DefaultParams(), DefaultCostParams(), design{lockFree: true})
 		if err != nil {
 			t.Errorf("new lockfree: %v", err)
 			return
@@ -251,7 +251,7 @@ func TestLockFreeScavengeDuringChurn(t *testing.T) {
 		costs.ScavengeInterval = 40000
 		costs.ScavengeMinBinBytes = 16 << 10
 		var err error
-		al, err = newThreadCacheNamed(main, "lockfree", as, heap.DefaultParams(), costs, design{lockFree: true})
+		al, err = newThreadCache(main, "lockfree", as, heap.DefaultParams(), costs, design{lockFree: true})
 		if err != nil {
 			t.Errorf("new lockfree: %v", err)
 			return

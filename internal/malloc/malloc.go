@@ -23,23 +23,24 @@
 //     magazine -> transfer cache -> arena pool
 //
 //     Tier 1 is a per-thread, per-size-class magazine: pops and pushes are
-//     lock-free and cost CacheHit cycles. Each class's high-water mark is
+//     lock-free and cost cacheHit cycles. Each class's high-water mark is
 //     adaptive by default (CacheAdaptive): it starts at CacheBatch, grows by
 //     a batch after CacheGrowStreak consecutive lock-free hits, shrinks by a
 //     batch whenever the class flushes, and is clamped to [CacheBatch,
 //     CacheHigh]. Tier 2 is the central transfer cache (the depot): a shared
-//     per-size-class store of chunk spans behind per-class locks. Magazine
-//     misses try the depot (DepotXfer cycles plus one lock) before touching
-//     any arena, and magazine flushes/detaches donate whole spans to it —so
-//     cross-thread free traffic becomes one depot exchange instead of N
-//     arena-lock frees. Each depot class parks at most DepotCap spans;
-//     overflow falls through to tier 3, the CPU-bounded shared arena pool.
+//     per-size-class store of chunk spans behind per-class locks
+//     (spandepot.go). Magazine misses try the depot (depotXfer cycles plus
+//     one lock) before touching any arena, and magazine flushes/detaches
+//     donate whole spans to it —so cross-thread free traffic becomes one
+//     depot exchange instead of N arena-lock frees. Each depot class parks
+//     at most DepotCapBytes bytes; overflow falls through to tier 3, the
+//     CPU-bounded shared arena pool.
 //
 //   - lockfree: the thread cache with its shared tiers re-priced from
-//     mutexes to CAS (the D5 ablation): the depot becomes per-class Treiber
-//     span stacks (lfdepot.go), pool-shard arena selection becomes an atomic
-//     cursor, magazines re-home after a node migration, and
-//     cacheable refills bypass the arenas entirely, carving spans out of a
+//     mutexes to CAS (the D5 ablation): the depot's classes become Treiber
+//     span stacks (same policy, CAS pricing), pool-shard arena selection
+//     becomes an atomic cursor, magazines re-home after a node migration,
+//     and cacheable refills bypass the arenas entirely, carving spans out of a
 //     non-blocking buddy page allocator (heap.Buddy) whose level bitmaps are
 //     updated by CAS. Its depot lock acquisitions are zero by construction;
 //     the contention it does pay surfaces in Stats.CASAttempts/CASFails.
@@ -51,7 +52,7 @@
 // All variants serve requests at or above the mmap threshold from dedicated
 // anonymous mappings, as glibc does ("mmap() for allocation requests larger
 // than 32 pages"). A fourth, orthogonal tier lives in the vm layer: the
-// mmap-region reuse cache (MmapReuseCap bytes, MmapReuseWork cycles per
+// mmap-region reuse cache (MmapReuseCap bytes, mmapReuseWork cycles per
 // operation) parks munmapped above-threshold regions — pages intact — on a
 // bounded size-bucketed list and re-hands them out without a syscall or
 // fresh first-touch faults. The thread cache enables it by default
@@ -86,12 +87,12 @@
 // padded by ScavengeBinPad), reuse-cache regions parked longer than an
 // epoch are munmapped for real, and finally each arena's free top tail
 // past ScavengeTrimPad is handed back madvise(DONTNEED)-style — the region
-// stays mapped and the next touch pays RefaultCost. The binned and trim
-// stages skip arenas with a malloc/free since the cutoff, so a mid-burst
-// arena is never forced into a madvise/refault ping-pong. Experiment D3
-// measures the result: burst footprint decays during idle phases while the
-// post-idle burst keeps its throughput. Stats carries the whole story in
-// the Scavenge* counters plus PagesReleased/Refaults.
+// stays mapped and the next touch pays the vm profile's refault cost. The
+// binned and trim stages skip arenas with a malloc/free since the cutoff,
+// so a mid-burst arena is never forced into a madvise/refault ping-pong.
+// Experiment D3 measures the result: burst footprint decays during idle
+// phases while the post-idle burst keeps its throughput. Stats carries the
+// whole story in the Scavenge* counters plus PagesReleased/Refaults.
 //
 // # The locality model (NUMA node sharding)
 //
@@ -164,27 +165,16 @@ type CostParams struct {
 	// more threads run on one instance.
 	MainArenaSloshUnit int64
 
-	// Thread-cache (KindThreadCache) knobs. Zero values take the defaults
-	// applied by NewThreadCache, so profiles that predate the design keep
-	// working unchanged.
-	CacheHit    int64  // lock-free cache pop/push
-	CacheRefill int64  // fixed overhead per batch refill (on top of WorkMalloc)
-	CacheFlush  int64  // fixed overhead per batch flush (on top of WorkFree)
-	CacheBatch  int    // chunks pulled from the arena per refill
-	CacheHigh   int    // per-class high-water mark (the cap under adaptive sizing)
-	CacheMax    uint32 // largest chunk size served from the cache
+	// Thread-cache (the four magazine kinds) knobs. Zero values take the
+	// defaults the thread-cache constructor applies, so profiles that
+	// predate the design keep working unchanged.
+	CacheBatch int // chunks pulled from the arena per refill
+	CacheHigh  int // per-class high-water mark (the cap under adaptive sizing)
 
-	// Central transfer cache (the depot between thread magazines and the
-	// arena pool). Zero values take NewThreadCache defaults; DepotCap < 0
-	// disables the depot entirely (PR-1 behaviour: flushes free chunk by
-	// chunk into arenas).
-	DepotXfer int64 // cycles per depot span exchange, on top of the lock costs
-	DepotCap  int   // max spans parked per depot size class; < 0 disables
-	// DepotCapBytes bounds each depot class in bytes instead of spans. The
-	// span-count cap punishes adaptive marks: shrunken marks donate small
-	// spans that hit the count limit while parking almost nothing, so the
-	// byte cap is the default (DefaultDepotCapBytes per class). < 0 falls
-	// back to the DepotCap span count.
+	// DepotCapBytes bounds each class of the central transfer cache (the
+	// depot between thread magazines and the arena pool) in bytes. 0 takes
+	// DefaultDepotCapBytes; < 0 disables the depot entirely (flushes free
+	// chunk by chunk into arenas, the D2 baseline).
 	DepotCapBytes int64
 
 	// Adaptive magazine sizing (tcmalloc's slow start). CacheAdaptive >= 0
@@ -196,10 +186,9 @@ type CostParams struct {
 
 	// Mmap-region reuse cache (shared vm tier). MmapReuseCap is the byte cap
 	// on parked regions: 0 leaves the cache off for designs that predate it
-	// (the paper's allocators), NewThreadCache defaults it on; < 0 disables
+	// (the paper's allocators), the thread cache defaults it on; < 0 disables
 	// it explicitly.
-	MmapReuseCap  int64
-	MmapReuseWork int64 // cycles per reuse-cache park/lookup
+	MmapReuseCap int64
 
 	// Scavenger (internal/scavenge): epoch-driven decay of idle parked
 	// memory across all tiers. ScavengeInterval is the epoch length in
@@ -214,7 +203,6 @@ type CostParams struct {
 	// its top when the scavenger trims (malloc_trim's pad; 0 takes the
 	// default, < 0 means no pad).
 	ScavengeTrimPad int64
-	ScavengeWork    int64 // fixed cycles charged per scavenge pass
 	// ScavengeMinBinBytes enables the PageHeap-style binned-chunk release
 	// stage (Arena.ReleaseBinned): a free chunk idle for a full epoch has the
 	// whole pages strictly inside it handed back to the kernel, provided at
@@ -228,9 +216,6 @@ type CostParams struct {
 	// warm memory before it ever touches a released page (0 takes the
 	// default, < 0 keeps no pad).
 	ScavengeBinPad int64
-	// RefaultCost overrides the vm profile's cost of touching a page the
-	// scavenger released (0 keeps the profile value).
-	RefaultCost int64
 
 	// NUMANodeBlind disables node-aware placement on multi-node machines:
 	// one flat arena pool with first-touch mappings, a single depot, no
@@ -239,15 +224,6 @@ type CostParams struct {
 	// machine the sharded and blind paths are the same code with one shard,
 	// so the flag has no effect there.
 	NUMANodeBlind bool
-
-	// BuddyZonePages sizes the buddy backend's zones in pages (rounded up to
-	// a power of two; 0 takes heap.DefaultBuddyZonePages).
-	BuddyZonePages int
-	// BuddyCarveWork and BuddyReturnWork are the per-chunk cycles of the
-	// buddy span carve and return paths (the lock-free analogue of the arena
-	// malloc/free work; zero takes the defaults).
-	BuddyCarveWork  int64
-	BuddyReturnWork int64
 
 	// LineAware makes placement cache-line-aware, the experiment D9 dimension.
 	// Chunk sizes are quantized up to cache-line multiples (heap.Params.Align
@@ -280,28 +256,40 @@ type CostParams struct {
 	ServiceWatermark int
 }
 
-// DefaultMmapReuseCap is the parked-bytes cap NewThreadCache applies when
+// DefaultMmapReuseCap is the parked-bytes cap the thread cache applies when
 // MmapReuseCap is zero: a few above-threshold regions, bounded so the RSS
 // the cache holds back from the kernel stays honest.
 const DefaultMmapReuseCap = 4 << 20
 
-// DefaultDepotCapBytes is the per-class byte cap NewThreadCache applies when
-// DepotCapBytes is zero: roughly DepotCap spans of CacheBatch default-sized
-// chunks, but counted in bytes so small spans from shrunken adaptive marks
-// no longer overflow a count limit while parking almost nothing.
+// DefaultDepotCapBytes is the per-class byte cap the thread cache applies
+// when DepotCapBytes is zero: roughly eight spans of CacheBatch
+// default-sized chunks, but counted in bytes so small spans from shrunken
+// adaptive marks never overflow a count limit while parking almost nothing.
 const DefaultDepotCapBytes = 64 << 10
 
-// DefaultScavengeTrimPad is the per-arena resident pad NewThreadCache keeps
+// DefaultScavengeTrimPad is the per-arena resident pad the thread cache keeps
 // at each top chunk when ScavengeTrimPad is zero.
 const DefaultScavengeTrimPad = 64 << 10
 
-// DefaultBuddyCarveWork and DefaultBuddyReturnWork are the per-chunk cycles
-// of the buddy backend's span carve and return (the lock-free counterparts
-// of the arena's boundary-tag malloc/free work, cheaper because a span carve
-// is a bump pointer and a return is a list push).
+// Thread-cache constants that no profile or experiment varies: the largest
+// chunk size the magazines serve, and fixed costs in cycles.
 const (
-	DefaultBuddyCarveWork  = 40
-	DefaultBuddyReturnWork = 30
+	cacheMax = 32 * 1024
+
+	cacheHit    = 15 // magazine pop/push, lock-free
+	cacheRefill = 60 // per batch refill, on top of WorkMalloc
+	cacheFlush  = 60 // per batch flush, on top of WorkFree
+	depotXfer   = 45 // per depot span exchange, on top of the class guard
+	// mmapReuseWork is charged per reuse-cache park or lookup.
+	mmapReuseWork = 30
+	// scavengeWork is charged per scavenge pass.
+	scavengeWork = 120
+	// buddyCarveWork and buddyReturnWork are the per-chunk cycles of the
+	// buddy backend's span carve and return (the lock-free counterparts of
+	// the arena's boundary-tag malloc/free work, cheaper because a span
+	// carve is a bump pointer and a return is a list push).
+	buddyCarveWork  = 40
+	buddyReturnWork = 30
 )
 
 // Service-thread defaults (the offloaded kinds). The epoch is short relative
@@ -331,19 +319,12 @@ func DefaultCostParams() CostParams {
 		WorkFree:      110,
 		TSDRead:       8,
 		SharedTaxUnit: 0,
-		CacheHit:      15,
-		CacheRefill:   60,
-		CacheFlush:    60,
 		CacheBatch:    16,
 		CacheHigh:     64,
-		CacheMax:      32 * 1024,
 
-		DepotXfer:       45,
-		DepotCap:        8,
 		DepotCapBytes:   DefaultDepotCapBytes,
 		CacheGrowStreak: 64,
-		MmapReuseWork:   30,
-		// MmapReuseCap stays 0: only designs that opt in (NewThreadCache
+		// MmapReuseCap stays 0: only designs that opt in (the thread cache
 		// defaults it to DefaultMmapReuseCap) enable the reuse tier, so the
 		// paper's allocators keep their measured syscall and fault counts.
 
@@ -352,7 +333,6 @@ func DefaultCostParams() CostParams {
 		// the subsystem existed. D3 and production profiles turn it on.
 		ScavengeDecay:   50,
 		ScavengeTrimPad: DefaultScavengeTrimPad,
-		ScavengeWork:    120,
 	}
 }
 
@@ -572,10 +552,7 @@ func newBase(t *sim.Thread, name string, as *vm.AddressSpace, params heap.Params
 		b.lineAware = true
 	}
 	if costs.MmapReuseCap > 0 {
-		as.SetMmapReuse(uint64(costs.MmapReuseCap), costs.MmapReuseWork)
-	}
-	if costs.RefaultCost > 0 {
-		as.SetRefaultCost(costs.RefaultCost)
+		as.SetMmapReuse(uint64(costs.MmapReuseCap), mmapReuseWork)
 	}
 	main, err := heap.NewMain(t, as, &b.params)
 	if err != nil {

@@ -40,10 +40,10 @@ func TestShardedPoolRoutesHomeArenas(t *testing.T) {
 		err := m.Run(func(main *sim.Thread) {
 			costs := DefaultCostParams()
 			costs.NUMANodeBlind = blind
-			costs.DepotCap = -1 // a depot hit would serve a miss without assigning a home arena
-			al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+			costs.DepotCapBytes = -1 // a depot hit would serve a miss without assigning a home arena
+			al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 			if err != nil {
-				t.Errorf("NewThreadCache: %v", err)
+				t.Errorf("threadcache: %v", err)
 				return
 			}
 			if blind && al.sharded() {
@@ -103,9 +103,9 @@ func TestRemoteFreeRoutesToOwnerDepot(t *testing.T) {
 		costs.CacheHigh = 8
 		costs.CacheAdaptive = -1
 		costs.ScavengeInterval = 10_000_000 // long epochs: only forced passes run
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		const n = 8
@@ -166,7 +166,7 @@ func TestRemoteFreeRoutesToOwnerDepot(t *testing.T) {
 			if st.RemoteBytes == 0 {
 				t.Error("RemoteBytes = 0")
 			}
-			owner := al.depots[prodNode].(*transferCache)
+			owner := al.depots[prodNode]
 			found := 0
 			for _, dc := range owner.classes {
 				for _, span := range dc.spans {
@@ -240,9 +240,9 @@ func TestTwoNodeChurnTortureWithScavenge(t *testing.T) {
 		costs.ScavengeTrimPad = 8 * 1024
 		costs.ScavengeMinBinBytes = 4096 // all five cascade stages race the churn
 		costs.ScavengeBinPad = -1
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		type obj struct {
@@ -421,9 +421,9 @@ func TestSumStatsDropsNoHeapField(t *testing.T) {
 func TestStatsMirrorsRemoteCounters(t *testing.T) {
 	m, as := newNUMAWorld(2, 2, 41)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		al.AttachThread(main)

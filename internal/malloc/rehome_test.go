@@ -44,7 +44,7 @@ func TestCacheRehomeAfterMigration(t *testing.T) {
 	var al *ThreadCache
 	err := m.Run(func(main *sim.Thread) {
 		var err error
-		al, err = newThreadCacheNamed(main, "lockfree", as, heap.DefaultParams(), DefaultCostParams(), design{lockFree: true})
+		al, err = newThreadCache(main, "lockfree", as, heap.DefaultParams(), DefaultCostParams(), design{lockFree: true})
 		if err != nil {
 			t.Errorf("new lockfree: %v", err)
 			return

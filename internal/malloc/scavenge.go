@@ -242,7 +242,7 @@ func (tc *ThreadCache) newScavenger(costs CostParams) *scavenge.Scavenger {
 	sc := scavenge.New(scavenge.Policy{
 		Interval:     sim.Time(costs.ScavengeInterval),
 		DecayPercent: costs.ScavengeDecay,
-		Work:         costs.ScavengeWork,
+		Work:         scavengeWork,
 	})
 	sc.Register(magazineSource{tc})
 	if len(tc.depots) > 0 {

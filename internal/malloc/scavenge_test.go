@@ -29,10 +29,10 @@ func TestScavengerDecaysIdleMagazines(t *testing.T) {
 	m, as := newWorld(2, 113)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(100000, 50)
-		costs.DepotCap = -1 // isolate the magazine path
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		costs.DepotCapBytes = -1 // isolate the magazine path
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		var ps []uint64
@@ -101,10 +101,10 @@ func TestScavengerSparesActiveMagazines(t *testing.T) {
 	m, as := newWorld(2, 127)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(100000, 100)
-		costs.DepotCap = -1
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		costs.DepotCapBytes = -1
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		// Pair traffic keeps lastOp fresh across epoch boundaries; the
@@ -140,9 +140,9 @@ func TestScavengerReturnsColdDepotSpans(t *testing.T) {
 	m, as := newWorld(2, 131)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(100000, 100)
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		w := main.Spawn("producer", func(w *sim.Thread) {
@@ -197,9 +197,9 @@ func TestScavengerExpiresReuseRegionsAndTrims(t *testing.T) {
 		// A long epoch: the setup below burns ~100K cycles faulting pages
 		// in, and no inline tick may fire before the parked state is built.
 		costs := scavCosts(10_000_000, 100)
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		// Park an above-threshold region with its pages faulted in.
@@ -280,9 +280,9 @@ func TestDetachAndFlushRaceScavengerEpochs(t *testing.T) {
 	m, as := newWorld(4, 139)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(20000, 50) // short epochs: many passes mid-churn
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		stop := false
@@ -405,10 +405,10 @@ func TestScavengerSmallMagazineDecayRate(t *testing.T) {
 	m, as := newWorld(2, 151)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(100000, 1)
-		costs.DepotCap = -1
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		costs.DepotCapBytes = -1
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		var ps []uint64
@@ -458,10 +458,10 @@ func TestScavengerSingleEntryClassHalfDecay(t *testing.T) {
 	m, as := newWorld(2, 153)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(100000, 50)
-		costs.DepotCap = -1
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		costs.DepotCapBytes = -1
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		// Drain the refill batch (CacheBatch=4) so exactly one entry parks.
@@ -504,9 +504,9 @@ func TestScavengerSmallDepotDecayRate(t *testing.T) {
 	m, as := newWorld(2, 155)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(100000, 50)
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		// A dying producer donates exactly one 4-chunk span to the depot.
@@ -559,17 +559,17 @@ func TestScavengerTrimSkipsBusyArenas(t *testing.T) {
 	m, as := newWorld(2, 157)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(50000, 50)
-		costs.DepotCap = -1
+		costs.DepotCapBytes = -1
 		params := heap.DefaultParams()
 		params.Trim = false // isolate the scavenger's trim from free-time sbrk trimming
-		al, err := NewThreadCache(main, as, params, costs)
+		al, err := newTestThreadCache(main, as, params, costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		al.AttachThread(main)
 		// Main (home: arena 0) builds a fat resident free top, then goes idle.
-		const big = 40000 // above CacheMax: straight to the arena, no magazine
+		const big = 40000 // above cacheMax: straight to the arena, no magazine
 		var ps []uint64
 		for i := 0; i < 8; i++ {
 			p, err := al.Malloc(main, big)
@@ -636,12 +636,12 @@ func TestScavengerReleasesBinnedChunks(t *testing.T) {
 	m, as := newWorld(2, 163)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(100000, 100)
-		costs.DepotCap = -1
+		costs.DepotCapBytes = -1
 		costs.ScavengeMinBinBytes = 4096
 		costs.ScavengeBinPad = -1 // no resident pad: one idle chunk must release
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		const big = 40000
@@ -722,9 +722,9 @@ func TestBinnedReleaseChurnTorture(t *testing.T) {
 		costs := scavCosts(50000, 50)
 		costs.ScavengeMinBinBytes = 4096 // depot stays on: all five stages race the churn
 		costs.ScavengeBinPad = -1        // and the binned stage releases everything it can
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		al.AttachThread(main)
@@ -824,9 +824,9 @@ func TestDetachImmediatelyBeforeAndAfterEpoch(t *testing.T) {
 	m, as := newWorld(2, 149)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(50000, 100)
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		total := 0

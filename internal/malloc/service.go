@@ -160,7 +160,7 @@ func newService(tc *ThreadCache, costs CostParams) *Service {
 		}
 		for req := uint32(1); req <= svcSeedMax; req++ {
 			csz := tc.params.Request2Size(req)
-			if csz > svcSeedMax || csz > tc.maxBlock {
+			if csz > svcSeedMax || csz > cacheMax {
 				continue
 			}
 			if _, ok := box.seen[csz]; !ok {
@@ -276,7 +276,7 @@ func (s *Service) boxFor(node int) *svcNode {
 // spanXfer prices moving a span across caches: one remote-miss transfer of
 // the descriptor line (head pointer + count). The chunks themselves move on
 // first touch, exactly as they would coming out of the depot — the mailbox
-// swap replaces the depot's lock acquisition and DepotXfer charge with a
+// swap replaces the depot's lock acquisition and depotXfer charge with a
 // wait-free line exchange, which is where the offload's app-side saving
 // comes from.
 func (s *Service) spanXfer() sim.Time {
@@ -620,7 +620,7 @@ func (s *Service) fetchSpan(t *sim.Thread, node int, csz, req uint32) []tcEntry 
 func (s *Service) carve(t *sim.Thread, a *heap.Arena, csz, req uint32) []tcEntry {
 	tc := s.tc
 	t.Lock(a.Lock)
-	t.Charge(sim.Time(tc.costs.CacheRefill + tc.costs.WorkMalloc))
+	t.Charge(sim.Time(cacheRefill + tc.costs.WorkMalloc))
 	var span []tcEntry
 	for i := 0; i < tc.batch; i++ {
 		p, err := a.Malloc(t, req)

@@ -29,7 +29,7 @@ func TestServiceMailboxRefillFlushCycle(t *testing.T) {
 		// free burst overflows past the shelf into the box.
 		costs := svcCosts(50000)
 		costs.ServiceWatermark = 1
-		al, err := newThreadCacheNamed(main, "threadcache-svc", as, heap.DefaultParams(), costs, design{offload: true})
+		al, err := newThreadCache(main, "threadcache-svc", as, heap.DefaultParams(), costs, design{offload: true})
 		if err != nil {
 			t.Errorf("new threadcache-svc: %v", err)
 			return
@@ -132,7 +132,7 @@ func TestServiceMailboxCapFallback(t *testing.T) {
 		costs := svcCosts(10_000_000)
 		costs.ServiceMailboxCap = 1
 		costs.ServiceWatermark = 1
-		al, err := newThreadCacheNamed(main, "threadcache-svc", as, heap.DefaultParams(), costs, design{offload: true})
+		al, err := newThreadCache(main, "threadcache-svc", as, heap.DefaultParams(), costs, design{offload: true})
 		if err != nil {
 			t.Errorf("new threadcache-svc: %v", err)
 			return
@@ -184,7 +184,7 @@ func TestServiceMailboxCapFallback(t *testing.T) {
 func TestServiceReclaimEmptiesMailboxes(t *testing.T) {
 	m, as := newNUMAWorld(4, 2, 41)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := newThreadCacheNamed(main, "threadcache-svc", as, heap.DefaultParams(), svcCosts(10_000_000), design{offload: true})
+		al, err := newThreadCache(main, "threadcache-svc", as, heap.DefaultParams(), svcCosts(10_000_000), design{offload: true})
 		if err != nil {
 			t.Errorf("new threadcache-svc: %v", err)
 			return
@@ -224,7 +224,7 @@ func TestServiceSingleCascadeDriver(t *testing.T) {
 		costs := svcCosts(100000)
 		costs.ScavengeInterval = 100000
 		costs.ScavengeDecay = 50
-		al, err := newThreadCacheNamed(main, "threadcache-svc", as, heap.DefaultParams(), costs, design{offload: true})
+		al, err := newThreadCache(main, "threadcache-svc", as, heap.DefaultParams(), costs, design{offload: true})
 		if err != nil {
 			t.Errorf("new threadcache-svc: %v", err)
 			return

@@ -17,9 +17,9 @@ func TestDepotHitMissDonateAccounting(t *testing.T) {
 		costs.CacheBatch = 4
 		costs.CacheHigh = 8
 		costs.CacheAdaptive = -1 // fixed marks: flush points are deterministic
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		// 12 allocations = 3 arena refills; freeing all 12 crosses the mark
@@ -87,20 +87,20 @@ func TestDepotHitMissDonateAccounting(t *testing.T) {
 }
 
 // TestDepotOverflowFallsBackToArena: a full depot class refuses spans, which
-// are then freed into the arenas (the bounded-leak guarantee). Uses the
-// legacy span-count cap (DepotCapBytes < 0) so the limit is exact.
+// are then freed into the arenas (the bounded-leak guarantee). The byte cap
+// is exactly one 4-chunk span of the class, so the limit is exact.
 func TestDepotOverflowFallsBackToArena(t *testing.T) {
 	m, as := newWorld(2, 71)
 	err := m.Run(func(main *sim.Thread) {
+		params := heap.DefaultParams()
 		costs := DefaultCostParams()
 		costs.CacheBatch = 4
 		costs.CacheHigh = 8
-		costs.DepotCap = 1       // one span per class
-		costs.DepotCapBytes = -1 // span-count mode
+		costs.DepotCapBytes = 4 * int64(params.Request2Size(64)) // one span per class
 		costs.CacheAdaptive = -1
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, params, costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		var ps []uint64
@@ -143,9 +143,9 @@ func TestFlushSortsCrossArenaVictims(t *testing.T) {
 	m, as := newWorld(2, 73)
 	err := m.Run(func(main *sim.Thread) {
 		costs := DefaultCostParams()
-		tc, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		tc, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		a0 := tc.arenas[0]
@@ -190,9 +190,9 @@ func TestFlushSortsCrossArenaVictims(t *testing.T) {
 func TestDepotCrossThreadHandoff(t *testing.T) {
 	m, as := newWorld(2, 79)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		var ps []uint64
@@ -252,9 +252,9 @@ func TestDepotCrossThreadHandoff(t *testing.T) {
 func TestDepotSpansSurviveCheckAcrossClasses(t *testing.T) {
 	m, as := newWorld(2, 83)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		for round := 0; round < 3; round++ {
@@ -294,22 +294,21 @@ func TestDepotSpansSurviveCheckAcrossClasses(t *testing.T) {
 }
 
 // TestDepotByteCapAdmitsSmallSpans pins the D2 co-tuning fix: under the
-// byte cap (the default), many small spans — the shape shrunken adaptive
-// marks produce — keep fitting where the old span-count cap would refuse
-// them, while the same cap still bounds total parked bytes.
+// byte cap, many small spans — the shape shrunken adaptive marks produce —
+// keep fitting however many there are, while the same cap still bounds
+// total parked bytes.
 func TestDepotByteCapAdmitsSmallSpans(t *testing.T) {
 	m, as := newWorld(2, 107)
 	err := m.Run(func(main *sim.Thread) {
 		costs := DefaultCostParams()
-		costs.DepotCap = 2 // would refuse the third span under span counting
 		costs.DepotCapBytes = 8192
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
-		// Donate eight 2-chunk spans of 72-byte chunks (=144B each): far
-		// past the span-count cap, nowhere near the byte cap.
+		// Donate eight 2-chunk spans of 72-byte chunks (=144B each):
+		// nowhere near the byte cap.
 		alloc := func() tcEntry {
 			a := al.arenas[0]
 			main.Lock(a.Lock)
@@ -347,5 +346,169 @@ func TestDepotByteCapAdmitsSmallSpans(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// span4 builds a span of 4 synthetic entries (nil arenas, distinct fake
+// addresses starting at base) for direct depot testing.
+func span4(base uint64) []tcEntry {
+	s := make([]tcEntry, 4)
+	for i := range s {
+		s[i] = tcEntry{mem: base + uint64(i)*64}
+	}
+	return s
+}
+
+// depotPricings are the two synchronization pricings of a depot class.
+var depotPricings = []struct {
+	name     string
+	lockFree bool
+}{{"mutex", false}, {"lockfree", true}}
+
+// TestLFDepotAccounting pins the depot's policy arithmetic under both
+// pricings: the same hit/miss/donate/overflow counters and byte caps — only
+// the synchronization differs (class-lock acquisitions, or CAS and zero
+// lock acquisitions by construction).
+func TestLFDepotAccounting(t *testing.T) {
+	for _, pr := range depotPricings {
+		t.Run(pr.name, func(t *testing.T) {
+			m, _ := newWorld(1, 3)
+			var stats Stats
+			d := newDepot(m, "d", pr.lockFree, 4*64*6, &stats) // byte cap: six 4-chunk spans of class 64
+			err := m.Run(func(th *sim.Thread) {
+				if _, ok := d.get(th, 64); ok {
+					t.Error("empty depot served a span")
+				}
+				if stats.DepotMisses != 1 {
+					t.Errorf("DepotMisses = %d, want 1", stats.DepotMisses)
+				}
+				for i := 0; i < 6; i++ {
+					if !d.put(th, 64, span4(uint64(0x1000*(i+1)))) {
+						t.Fatalf("put %d refused below the byte cap", i)
+					}
+				}
+				if d.put(th, 64, span4(0x9000)) {
+					t.Error("put above the byte cap accepted")
+				}
+				if stats.DepotDonates != 6 || stats.DepotOverflows != 1 {
+					t.Errorf("donates/overflows = %d/%d, want 6/1", stats.DepotDonates, stats.DepotOverflows)
+				}
+				if d.chunkCount() != 24 || d.byteCount() != 24*64 {
+					t.Errorf("parked = %d chunks / %d bytes, want 24 / %d", d.chunkCount(), d.byteCount(), 24*64)
+				}
+				// LIFO: the last donation pops first.
+				span, ok := d.get(th, 64)
+				if !ok || span[0].mem != 0x6000 {
+					t.Errorf("got span base 0x%x, want LIFO top 0x6000", span[0].mem)
+				}
+				if stats.DepotHits != 1 {
+					t.Errorf("DepotHits = %d, want 1", stats.DepotHits)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every exchange locks the class under mutex pricing, the miss and
+			// the overflow included: 2 gets + 7 puts. Under CAS pricing the 6
+			// accepted puts and the successful get are 7 CAS updates; the
+			// overflow and the empty get never touch the head word.
+			wantLocks, wantCAS := uint64(9), uint64(0)
+			if pr.lockFree {
+				wantLocks, wantCAS = 0, 7
+			}
+			if got := d.lockAcqs(); got != wantLocks {
+				t.Errorf("lockAcqs = %d, want %d", got, wantLocks)
+			}
+			if cs := d.casStats(); cs.CASAttempts != wantCAS || cs.Acquisitions != wantCAS {
+				t.Errorf("casStats = %+v, want %d attempts/updates", cs, wantCAS)
+			}
+			seen := make(map[uint64]bool)
+			if err := d.check(seen, func(tcEntry) error { return nil }); err != nil {
+				t.Errorf("check: %v", err)
+			}
+			if len(seen) != 20 {
+				t.Errorf("check visited %d chunks, want 20", len(seen))
+			}
+			// A torn count — the byte counter disagreeing with the span list —
+			// is caught under either pricing.
+			d.classes[64].bytes += 64
+			if err := d.check(make(map[uint64]bool), func(tcEntry) error { return nil }); err == nil {
+				t.Error("check accepted a byte counter that disagrees with the span list")
+			}
+		})
+	}
+}
+
+// TestLFDepotScavengeSnapshot verifies the depot scavenge under both
+// pricings: oldest spans leave first, the fractional decay remainder carries
+// across epochs, and the class's byte counter always matches its span list
+// afterwards (the no-torn-reads invariant check() enforces). Under CAS
+// pricing a pass that keeps survivors costs two CAS (detach and
+// re-attach), and one that drains the class costs one.
+func TestLFDepotScavengeSnapshot(t *testing.T) {
+	for _, pr := range depotPricings {
+		t.Run(pr.name, func(t *testing.T) {
+			m, _ := newWorld(1, 3)
+			var stats Stats
+			d := newDepot(m, "d", pr.lockFree, 1<<20, &stats)
+			casAfter := func(want uint64) {
+				t.Helper()
+				if !pr.lockFree {
+					want = 0
+				}
+				if got := d.casStats().CASAttempts; got != want {
+					t.Errorf("CASAttempts = %d, want %d", got, want)
+				}
+			}
+			err := m.Run(func(th *sim.Thread) {
+				for i := 0; i < 3; i++ {
+					if !d.put(th, 64, span4(uint64(0x1000*(i+1)))) {
+						t.Fatal("put refused")
+					}
+				}
+				casAfter(3)
+				cutoff := th.Now() + 1 // everything is idle relative to this
+				// 50% of 3 spans = 1.5: one span out now, remainder 50 carried.
+				spans, chunks, bytes := d.scavenge(th, cutoff, 50)
+				if len(spans) != 1 || chunks != 4 || bytes != 4*64 {
+					t.Fatalf("scavenge = %d spans/%d chunks/%d bytes, want 1/4/%d", len(spans), chunks, bytes, 4*64)
+				}
+				if spans[0][0].mem != 0x1000 {
+					t.Errorf("scavenged span base 0x%x, want oldest 0x1000", spans[0][0].mem)
+				}
+				if d.classes[64].decayRem != 50 {
+					t.Errorf("decayRem = %d, want 50", d.classes[64].decayRem)
+				}
+				casAfter(5)
+				if err := d.check(make(map[uint64]bool), func(tcEntry) error { return nil }); err != nil {
+					t.Errorf("check after scavenge: %v", err)
+				}
+				// Next epoch: 50% of 2 spans + 50 carry = 1.5 -> one more span.
+				spans, _, _ = d.scavenge(th, th.Now()+1, 50)
+				if len(spans) != 1 || spans[0][0].mem != 0x2000 {
+					t.Fatalf("second scavenge took %d spans (base 0x%x), want the next-oldest 0x2000",
+						len(spans), spans[0][0].mem)
+				}
+				if d.chunkCount() != 4 || d.byteCount() != 4*64 {
+					t.Errorf("parked after scavenges = %d/%d, want 4 chunks/%d bytes",
+						d.chunkCount(), d.byteCount(), 4*64)
+				}
+				casAfter(7)
+				if err := d.check(make(map[uint64]bool), func(tcEntry) error { return nil }); err != nil {
+					t.Errorf("check after second scavenge: %v", err)
+				}
+				// A full drain detaches the last span and re-attaches nothing.
+				if spans, _, _ = d.scavenge(th, th.Now()+1, 100); len(spans) != 1 || d.chunkCount() != 0 {
+					t.Fatalf("draining scavenge took %d spans, left %d chunks", len(spans), d.chunkCount())
+				}
+				casAfter(8)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pr.lockFree && d.lockAcqs() != 3+3 {
+				t.Errorf("lockAcqs = %d, want 6 (3 puts + 3 scavenge passes)", d.lockAcqs())
+			}
+		})
 	}
 }

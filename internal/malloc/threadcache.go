@@ -59,11 +59,11 @@ type ThreadCache struct {
 	*base
 	caches map[int]*tcache
 
-	// depots are the central transfer caches, one per node shard (a single
-	// entry on flat or node-blind machines); nil when disabled (DepotCap<0).
-	// The implementation is pluggable (depot.go): per-class mutexes by
-	// default, Treiber CAS stacks for the lock-free design.
-	depots []depot
+	// depots are the central transfer caches (spandepot.go), one per node
+	// shard (a single entry on flat or node-blind machines); nil when
+	// disabled (DepotCapBytes < 0). Their classes are mutex-guarded, or
+	// Treiber CAS stacks for the lock-free design.
+	depots []*depot
 
 	// shards is the node-sharded arena pool; a single shard with node -1
 	// covers the whole machine when flat or node-blind.
@@ -79,7 +79,6 @@ type ThreadCache struct {
 
 	batch     int
 	highWater int
-	maxBlock  uint32
 
 	// Adaptive magazine sizing (tcmalloc slow start).
 	adaptive   bool
@@ -192,7 +191,7 @@ type design struct {
 	// shared tier re-priced from mutexes to CAS.
 	//
 	//   - the depot's per-class mutexes become Treiber span stacks
-	//     (lfdepot.go), so a magazine miss or flush pays one CAS instead of a
+	//     (spandepot.go), so a magazine miss or flush pays one CAS instead of a
 	//     lock round trip and a preempted thread can never convoy the class;
 	//   - pool-shard arena selection becomes a priced atomic cursor, the list
 	//     lock only guarding shard growth;
@@ -217,50 +216,23 @@ type design struct {
 	offload bool
 }
 
-// NewThreadCache creates the thread-cache allocator on as. Zero-valued cache
-// knobs in costs take the DefaultCostParams values.
-func NewThreadCache(t *sim.Thread, as *vm.AddressSpace, params heap.Params, costs CostParams) (*ThreadCache, error) {
-	return newThreadCacheNamed(t, "threadcache", as, params, costs, design{})
-}
-
-// newThreadCacheNamed is the shared constructor behind the four thread-cache
-// kinds: one machine, with d picking the depot implementation, the
-// pool-cursor pricing, the page backend, the rehoming policy and the
-// service threads.
-func newThreadCacheNamed(t *sim.Thread, name string, as *vm.AddressSpace, params heap.Params, costs CostParams, d design) (*ThreadCache, error) {
+// newThreadCache is the shared constructor behind the four thread-cache
+// kinds: one machine, with d picking the depot pricing, the pool-cursor
+// pricing, the page backend, the rehoming policy and the service threads.
+// Zero-valued cache knobs in costs take the DefaultCostParams values.
+func newThreadCache(t *sim.Thread, name string, as *vm.AddressSpace, params heap.Params, costs CostParams, d design) (*ThreadCache, error) {
 	def := DefaultCostParams()
-	if costs.CacheHit == 0 {
-		costs.CacheHit = def.CacheHit
-	}
-	if costs.CacheRefill == 0 {
-		costs.CacheRefill = def.CacheRefill
-	}
-	if costs.CacheFlush == 0 {
-		costs.CacheFlush = def.CacheFlush
-	}
 	if costs.CacheBatch <= 0 {
 		costs.CacheBatch = def.CacheBatch
 	}
 	if costs.CacheHigh <= 0 {
 		costs.CacheHigh = def.CacheHigh
 	}
-	if costs.CacheMax == 0 {
-		costs.CacheMax = def.CacheMax
-	}
-	if costs.DepotXfer == 0 {
-		costs.DepotXfer = def.DepotXfer
-	}
-	if costs.DepotCap == 0 {
-		costs.DepotCap = def.DepotCap
-	}
 	if costs.DepotCapBytes == 0 {
 		costs.DepotCapBytes = def.DepotCapBytes
 	}
 	if costs.CacheGrowStreak <= 0 {
 		costs.CacheGrowStreak = def.CacheGrowStreak
-	}
-	if costs.MmapReuseWork == 0 {
-		costs.MmapReuseWork = def.MmapReuseWork
 	}
 	if costs.MmapReuseCap == 0 {
 		// The modern design defaults the vm reuse tier on; the paper's
@@ -272,15 +244,6 @@ func newThreadCacheNamed(t *sim.Thread, name string, as *vm.AddressSpace, params
 	}
 	if costs.ScavengeTrimPad == 0 {
 		costs.ScavengeTrimPad = def.ScavengeTrimPad
-	}
-	if costs.ScavengeWork == 0 {
-		costs.ScavengeWork = def.ScavengeWork
-	}
-	if costs.BuddyCarveWork == 0 {
-		costs.BuddyCarveWork = DefaultBuddyCarveWork
-	}
-	if costs.BuddyReturnWork == 0 {
-		costs.BuddyReturnWork = DefaultBuddyReturnWork
 	}
 	b, err := newBase(t, name, as, params, costs)
 	if err != nil {
@@ -295,7 +258,6 @@ func newThreadCacheNamed(t *sim.Thread, name string, as *vm.AddressSpace, params
 		caches:     make(map[int]*tcache),
 		batch:      costs.CacheBatch,
 		highWater:  costs.CacheHigh,
-		maxBlock:   costs.CacheMax,
 		adaptive:   costs.CacheAdaptive >= 0,
 		growStreak: costs.CacheGrowStreak,
 		rehome:     d.lockFree,
@@ -328,21 +290,13 @@ func newThreadCacheNamed(t *sim.Thread, name string, as *vm.AddressSpace, params
 			sh.cursor = as.Machine().NewCASPoint(fmt.Sprintf("%s.pool.n%d", b.name, sh.node))
 		}
 	}
-	if costs.DepotCap > 0 {
-		capBytes := costs.DepotCapBytes
-		if capBytes < 0 {
-			capBytes = 0 // legacy span-count cap
-		}
+	if costs.DepotCapBytes > 0 {
 		for range tc.shards {
 			dname := b.name
 			if len(tc.shards) > 1 {
 				dname = fmt.Sprintf("%s.n%d", b.name, len(tc.depots))
 			}
-			if d.lockFree {
-				tc.depots = append(tc.depots, newLFDepot(as.Machine(), dname, costs.DepotCap, capBytes, costs.DepotXfer, &b.stats))
-			} else {
-				tc.depots = append(tc.depots, newTransferCache(as.Machine(), dname, costs.DepotCap, capBytes, costs.DepotXfer, &b.stats))
-			}
+			tc.depots = append(tc.depots, newDepot(as.Machine(), dname, d.lockFree, costs.DepotCapBytes, &b.stats))
 		}
 	}
 	if d.lockFree {
@@ -383,7 +337,7 @@ func (tc *ThreadCache) shardOf(t *sim.Thread) *poolShard {
 
 // depotFor returns the depot of the given node (the single depot when the
 // pool is flat or node-blind), nil when the depot tier is disabled.
-func (tc *ThreadCache) depotFor(node int) depot {
+func (tc *ThreadCache) depotFor(node int) *depot {
 	if len(tc.depots) == 0 {
 		return nil
 	}
@@ -512,11 +466,11 @@ func (tc *ThreadCache) Malloc(t *sim.Thread, size uint32) (uint64, error) {
 	tc.noteQuant(size)
 	c := tc.cacheOf(t)
 	sz := tc.params.Request2Size(size)
-	if sz <= tc.maxBlock {
+	if sz <= cacheMax {
 		if cl := c.classes[sz]; cl != nil && len(cl.entries) > 0 {
 			e := cl.entries[len(cl.entries)-1]
 			cl.entries = cl.entries[:len(cl.entries)-1]
-			t.Charge(sim.Time(tc.costs.CacheHit))
+			t.Charge(cacheHit)
 			tc.stats.CacheHits++
 			tc.growOnStreak(cl)
 			tc.userMallocs++
@@ -542,7 +496,7 @@ func (tc *ThreadCache) Malloc(t *sim.Thread, size uint32) (uint64, error) {
 			}
 		}
 		// Tier 2: one span from the caller's node's transfer cache costs a
-		// class lock and DepotXfer cycles — no arena lock, no per-chunk
+		// class guard and depotXfer cycles — no arena lock, no per-chunk
 		// malloc work, and never a remote span while local ones exist.
 		if depot := tc.depotFor(t.Node()); depot != nil {
 			if span, ok := depot.get(t, sz); ok {
@@ -566,7 +520,7 @@ func (tc *ThreadCache) Malloc(t *sim.Thread, size uint32) (uint64, error) {
 			}
 			return mem, err
 		}
-		mem, err := tc.arenaBatch(t, c, size, tc.batch-1, tc.costs.CacheRefill+tc.costs.WorkMalloc)
+		mem, err := tc.arenaBatch(t, c, size, tc.batch-1, cacheRefill+tc.costs.WorkMalloc)
 		if err == nil {
 			tc.userMallocs++
 			tc.telOp(t, telemetry.OpMalloc, sz, telemetry.TierArena, start)
@@ -660,7 +614,7 @@ func (tc *ThreadCache) arenaBatch(t *sim.Thread, c *tcache, req uint32, extra in
 // batch-1 parked, charged like an arena batch refill but with no lock — the
 // only shared state touched is the buddy's bitmap, priced by CAS.
 func (tc *ThreadCache) buddyBatch(t *sim.Thread, c *tcache, sz uint32) (uint64, error) {
-	t.Charge(sim.Time(tc.costs.CacheRefill + tc.costs.WorkMalloc))
+	t.Charge(sim.Time(cacheRefill + tc.costs.WorkMalloc))
 	entries, err := tc.lf.refill(t, t.Node(), sz, tc.batch, tc.batch)
 	if err != nil {
 		return 0, err
@@ -707,8 +661,8 @@ func (tc *ThreadCache) Free(t *sim.Thread, mem uint64) error {
 	csz := a.ChunkSizeOf(t, mem)
 	// Implausible sizes (wild or corrupt pointers) take the locked arena
 	// path, which validates and reports ErrBadFree.
-	if csz >= heap.MinChunk && csz <= tc.maxBlock {
-		t.Charge(sim.Time(tc.costs.CacheHit))
+	if csz >= heap.MinChunk && csz <= cacheMax {
+		t.Charge(cacheHit)
 		tc.userFrees++
 		if c.home != nil && c.home != a {
 			tc.stats.CrossArenaFrees++
@@ -763,8 +717,8 @@ func (tc *ThreadCache) Free(t *sim.Thread, mem uint64) error {
 func (tc *ThreadCache) freeBuddy(t *sim.Thread, mem uint64, sp *lfSpan, start sim.Time) error {
 	c := tc.cacheOf(t)
 	csz := sp.csz
-	if csz >= heap.MinChunk && csz <= tc.maxBlock {
-		t.Charge(sim.Time(tc.costs.CacheHit))
+	if csz >= heap.MinChunk && csz <= cacheMax {
+		t.Charge(cacheHit)
 		tc.userFrees++
 		cl := tc.classOf(c, csz)
 		if tc.sharded() && sp.node >= 0 && sp.node != t.Node() {
@@ -976,7 +930,7 @@ func (tc *ThreadCache) flush(t *sim.Thread, victims []tcEntry) error {
 		return nil
 	}
 	tc.stats.CacheFlushes++
-	t.Charge(sim.Time(tc.costs.CacheFlush))
+	t.Charge(cacheFlush)
 	if tc.lf != nil {
 		// Buddy-backed victims return to their spans lock-free; only the
 		// arena-owned remainder (if any) takes locks below.

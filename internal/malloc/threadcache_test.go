@@ -6,8 +6,15 @@ import (
 
 	"mtmalloc/internal/heap"
 	"mtmalloc/internal/sim"
+	"mtmalloc/internal/vm"
 	"mtmalloc/internal/xrand"
 )
+
+// newTestThreadCache builds the threadcache kind without the pressure shell
+// New wraps it in, so tests can reach its tiers directly.
+func newTestThreadCache(t *sim.Thread, as *vm.AddressSpace, params heap.Params, costs CostParams) (*ThreadCache, error) {
+	return newThreadCache(t, string(KindThreadCache), as, params, costs, design{})
+}
 
 func TestKindsIncludesThreadCache(t *testing.T) {
 	kinds := Kinds()
@@ -34,9 +41,9 @@ func TestThreadCacheBatchAccounting(t *testing.T) {
 	m, as := newWorld(2, 41)
 	err := m.Run(func(main *sim.Thread) {
 		costs := DefaultCostParams()
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		batch := uint64(costs.CacheBatch)
@@ -125,9 +132,9 @@ func TestThreadCacheFlushHighWater(t *testing.T) {
 		costs := DefaultCostParams()
 		costs.CacheBatch = 4
 		costs.CacheHigh = 8
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		const n = 20
@@ -180,11 +187,11 @@ func TestThreadCacheFlushNoDepot(t *testing.T) {
 		costs := DefaultCostParams()
 		costs.CacheBatch = 4
 		costs.CacheHigh = 8
-		costs.DepotCap = -1
+		costs.DepotCapBytes = -1
 		costs.CacheAdaptive = -1
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		const n = 20
@@ -234,9 +241,9 @@ func TestThreadCacheFlushNoDepot(t *testing.T) {
 func TestThreadCacheMixedOpsAcrossThreads(t *testing.T) {
 	m, as := newWorld(2, 47)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		type obj struct {
@@ -396,9 +403,9 @@ func TestThreadCacheBeatsPerThread(t *testing.T) {
 func TestThreadCachePoolBounded(t *testing.T) {
 	m, as := newWorld(4, 59)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		var ws []*sim.Thread
@@ -443,9 +450,9 @@ func TestThreadCachePoolBounded(t *testing.T) {
 func TestThreadCacheMmapOnlyThreadPaysNoArena(t *testing.T) {
 	m, as := newWorld(2, 61)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		w := main.Spawn("mmap-only", func(w *sim.Thread) {
@@ -484,9 +491,9 @@ func TestAdaptiveMarkGrowsOnHitStreak(t *testing.T) {
 			costs.CacheHigh = 16
 			costs.CacheGrowStreak = 8
 			costs.CacheAdaptive = adaptive
-			al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+			al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 			if err != nil {
-				t.Errorf("NewThreadCache: %v", err)
+				t.Errorf("threadcache: %v", err)
 				return
 			}
 			// Malloc/free pairs: every pop after the first refill is a hit.
@@ -528,9 +535,9 @@ func TestAdaptiveMarkShrinksOnFlushPressure(t *testing.T) {
 		costs.CacheBatch = 4
 		costs.CacheHigh = 16
 		costs.CacheGrowStreak = 8
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		// Grow the mark with pair traffic first.
@@ -584,9 +591,9 @@ func TestAdaptiveMarkShrinksOnFlushPressure(t *testing.T) {
 func TestThreadCacheMmapReuse(t *testing.T) {
 	m, as := newWorld(2, 101)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		const sz = 256 * 1024
@@ -643,9 +650,9 @@ func TestThreadCacheMmapReuse(t *testing.T) {
 func TestMmapDoubleFreeRejectedWithReuse(t *testing.T) {
 	m, as := newWorld(2, 103)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewThreadCache: %v", err)
+			t.Errorf("threadcache: %v", err)
 			return
 		}
 		const sz = 256 * 1024

@@ -461,12 +461,6 @@ func (as *AddressSpace) chargeRemote(t *sim.Thread, base int64, fault bool) {
 	}
 }
 
-// SetRefaultCost overrides the cost charged when a released page is touched
-// again (allocator-level experiments tune it without a whole new profile).
-func (as *AddressSpace) SetRefaultCost(c int64) {
-	as.costs.Refault = c
-}
-
 // SetMmapReuse enables the mmap-region reuse cache with the given byte cap
 // (0 disables it) and per-operation cycle charge. Parked regions keep their
 // pages resident, so the cap is the honest bound on the extra RSS the cache

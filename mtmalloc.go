@@ -15,8 +15,8 @@
 // size-classed magazine in front of a CPU-count-bounded arena pool. Mallocs
 // pop from the magazine with zero locking, misses refill a batch under one
 // lock acquisition, and frees park locally until a class crosses its
-// high-water mark (CostParams.CacheHit/CacheRefill/CacheFlush price the
-// operations; CacheBatch/CacheHigh/CacheMax tune the policy). Experiment D1
+// high-water mark (CostParams.CacheBatch/CacheHigh tune the policy; the
+// per-operation cycle prices are fixed constants). Experiment D1
 // compares all four designs head-to-head.
 //
 // The package surface re-exports the pieces a user needs to run the
