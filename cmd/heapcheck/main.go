@@ -15,14 +15,12 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 
 	"mtmalloc/internal/bench"
-	"mtmalloc/internal/heap"
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/telemetry"
@@ -113,11 +111,6 @@ type tortureConfig struct {
 // then tolerate out-of-memory mallocs as skipped operations.
 func (c tortureConfig) pressured() bool { return c.memLimit > 0 || c.faultRate > 0 }
 
-// isOOM matches either layer's out-of-memory error.
-func isOOM(err error) bool {
-	return errors.Is(err, heap.ErrNoMemory) || errors.Is(err, vm.ErrNoMem)
-}
-
 type tortureResult struct {
 	peakCommitted                      uint64
 	emergencies, retries, fails, skips uint64
@@ -180,7 +173,7 @@ func torture(cfg tortureConfig) (tortureResult, error) {
 		if cfg.memLimit > 0 {
 			as.SetMemLimit(cfg.memLimit)
 		}
-		svc := malloc.ServiceOf(al)
+		svc := malloc.ThreadCacheOf(al).Service()
 		if svc != nil {
 			svc.Start(main)
 		}
@@ -225,7 +218,7 @@ func torture(cfg tortureConfig) (tortureResult, error) {
 						n := uint32(1 + r.Intn(cfg.maxSize))
 						p, err := al.Malloc(t, n)
 						if err != nil {
-							if cfg.pressured() && isOOM(err) {
+							if cfg.pressured() && malloc.IsOOM(err) {
 								// The emergency cascade already did its
 								// bounded retries; the op is skipped, and the
 								// heap must still pass every check below.

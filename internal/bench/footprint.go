@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mtmalloc/internal/malloc"
-	"mtmalloc/internal/scavenge"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/stats"
 	"mtmalloc/internal/vm"
@@ -115,8 +114,9 @@ func RunFootprint(cfg FootprintConfig) (FootprintRun, error) {
 
 		// parked reads the tier-parked bytes; zero for designs without
 		// parking tiers (the paper's allocators).
+		tc := malloc.ThreadCacheOf(al)
 		parked := func() uint64 {
-			if tc, ok := al.(interface{ ParkedBytes() uint64 }); ok {
+			if tc != nil {
 				return tc.ParkedBytes()
 			}
 			return 0
@@ -146,13 +146,13 @@ func RunFootprint(cfg FootprintConfig) (FootprintRun, error) {
 		// (they drive the cascade from their epoch loop), so a dedicated
 		// scavenger thread would be a second driver — the service engine
 		// replaces it outright.
-		svc := malloc.ServiceOf(al)
+		svc := tc.Service()
 		var scavThread *sim.Thread
 		if svc != nil {
 			svc.Start(main)
-		} else if sc, ok := al.(interface{ Scavenger() *scavenge.Scavenger }); ok && sc.Scavenger() != nil {
+		} else if sc := tc.Scavenger(); sc != nil {
 			scavThread = main.Spawn("scavenger", func(t *sim.Thread) {
-				sc.Scavenger().Background(t, func() bool { return stop })
+				sc.Background(t, func() bool { return stop })
 			})
 		}
 

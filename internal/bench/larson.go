@@ -185,7 +185,7 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 		// Offloaded designs spawn their per-node service threads before the
 		// clock starts and stop them after the last worker joins but outside
 		// the measured wall (the stop join only waits out one epoch).
-		svc := malloc.ServiceOf(al)
+		svc := malloc.ThreadCacheOf(al).Service()
 		if svc != nil {
 			svc.Start(main)
 		}
@@ -231,7 +231,7 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 				for s := 0; s < cfg.Slots; s++ {
 					p, err := al.Malloc(t, randSize())
 					if err != nil {
-						if !cfg.TolerateOOM || !isOOM(err) {
+						if !cfg.TolerateOOM || !malloc.IsOOM(err) {
 							panic(fmt.Sprintf("larson: prefill: %v", err))
 						}
 						oomSkips++
@@ -256,7 +256,7 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 						sz := randSize()
 						p, err := al.Malloc(t, sz)
 						if err != nil {
-							if !cfg.TolerateOOM || !isOOM(err) {
+							if !cfg.TolerateOOM || !malloc.IsOOM(err) {
 								panic(fmt.Sprintf("larson: alloc: %v", err))
 							}
 							oomSkips++

@@ -235,8 +235,8 @@ func RunPlacement(cfg PlacementConfig) (PlacementRun, error) {
 		}
 		out.AllocStats = al.Stats()
 		out.ResidentBytes = as.Stats().ResidentBytes
-		if sm, ok := al.(interface{ SharedMagazineLines() int }); ok {
-			out.SharedMagazineLines = sm.SharedMagazineLines()
+		if tc := malloc.ThreadCacheOf(al); tc != nil {
+			out.SharedMagazineLines = tc.SharedMagazineLines()
 		}
 		if err := al.Check(); err != nil {
 			panic(fmt.Sprintf("placement: check: %v", err))

@@ -257,10 +257,6 @@ func (a *Arena) LastOp() sim.Time { return a.lastOp }
 // AddressSpace returns the arena's backing address space.
 func (a *Arena) AddressSpace() *vm.AddressSpace { return a.as }
 
-// HeaderBase returns the simulated address of the arena header; the bench
-// harness uses it to reason about metadata cache-line placement.
-func (a *Arena) HeaderBase() uint64 { return a.hdrBase }
-
 // Malloc allocates a chunk for req bytes and returns the user address.
 // The caller must hold a.Lock.
 func (a *Arena) Malloc(t *sim.Thread, req uint32) (uint64, error) {
@@ -617,11 +613,6 @@ func binReleasable(c uint64, sz uint32) (lo, hi uint64) {
 	return lo, hi
 }
 
-// BinResidentEstimate returns the arena's running estimate of resident
-// whole-page interior bytes across its binned chunks (an upper bound: pages
-// the program never dirtied count too).
-func (a *Arena) BinResidentEstimate() uint64 { return a.binResident }
-
 // ReleaseBinned is the PageHeap-style counterpart to TrimTop: it walks the
 // bins in deterministic order (descending index, list order within a bin)
 // and, for every free chunk that has sat binned since before cutoff,
@@ -635,7 +626,7 @@ func (a *Arena) BinResidentEstimate() uint64 { return a.binResident }
 // Two floors bound the sweep. Chunks whose releasable interior is smaller
 // than minBytes are skipped: below that the madvise is not worth its
 // syscall. And the arena keeps up to pad bytes of binned interior resident
-// (measured against BinResidentEstimate), the binned analogue of the top
+// (measured against the binResident estimate), the binned analogue of the top
 // trim's pad: the walk runs biggest-first (descending bin index, and within
 // a size-sorted large bin from the bk end), so the big, cold chunks go
 // first — one madvise covering the most pages — while the smallest chunks,

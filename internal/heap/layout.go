@@ -132,9 +132,6 @@ func BinIndex(sz uint32) int {
 // IsSmallRequest reports whether sz falls in the exact-fit small bins.
 func IsSmallRequest(sz uint32) bool { return sz < 512 }
 
-// smallBinSize returns the chunk size served by small bin idx.
-func smallBinSize(idx int) uint32 { return uint32(idx) << 3 }
-
 // binRange describes the half-open chunk-size interval bin idx may hold;
 // used by the integrity checker. The intervals follow BinIndex exactly,
 // including the places where adjacent branches of the ptmalloc formula

@@ -301,18 +301,6 @@ func (be *lfBackend) ownsChunk(mem uint64) error {
 	return nil
 }
 
-// parkedBytes sums the chunks parked on span free lists (returned but whose
-// block is still live).
-func (be *lfBackend) parkedBytes() uint64 {
-	n := uint64(0)
-	for _, nd := range be.nodes {
-		for _, sp := range nd.spans {
-			n += uint64(len(sp.freeList)) * uint64(sp.csz)
-		}
-	}
-	return n
-}
-
 // bStats sums the per-node buddy counters.
 func (be *lfBackend) bStats() heap.BuddyStats {
 	var s heap.BuddyStats

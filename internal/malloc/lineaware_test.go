@@ -140,12 +140,7 @@ func TestSharedMagazineLinesChurn(t *testing.T) {
 					return
 				}
 				churnMagazines(t, th, al)
-				sm, ok := al.(interface{ SharedMagazineLines() int })
-				if !ok {
-					t.Errorf("%s does not expose SharedMagazineLines", kind)
-					return
-				}
-				if got := sm.SharedMagazineLines(); got == 0 {
+				if got := ThreadCacheOf(al).SharedMagazineLines(); got == 0 {
 					t.Errorf("blind churn produced no shared magazine lines; want > 0")
 				}
 			})
@@ -162,8 +157,7 @@ func TestSharedMagazineLinesChurn(t *testing.T) {
 					return
 				}
 				churnMagazines(t, th, al)
-				sm := al.(interface{ SharedMagazineLines() int })
-				if got := sm.SharedMagazineLines(); got != 0 {
+				if got := ThreadCacheOf(al).SharedMagazineLines(); got != 0 {
 					t.Errorf("line-aware churn left %d shared magazine lines; want 0", got)
 				}
 				if err := al.Check(); err != nil {

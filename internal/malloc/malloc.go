@@ -63,7 +63,7 @@
 //
 // # The four-tier hierarchy and its reclamation paths
 //
-// Allocation flows down the hierarchy; reclamation (internal/scavenge,
+// Allocation flows down the hierarchy; reclamation (scavenge.go,
 // enabled by ScavengeInterval > 0) flows the same way and then out of the
 // process:
 //
@@ -190,14 +190,14 @@ type CostParams struct {
 	// it explicitly.
 	MmapReuseCap int64
 
-	// Scavenger (internal/scavenge): epoch-driven decay of idle parked
+	// Scavenger (scavenge.go): epoch-driven decay of idle parked
 	// memory across all tiers. ScavengeInterval is the epoch length in
 	// cycles; 0 or negative leaves the scavenger off (the default — the
 	// paper's designs and PR-2 behaviour are unchanged unless a profile or
 	// experiment opts in).
 	ScavengeInterval int64
 	// ScavengeDecay is the percentage of an idle tier's parked memory
-	// released per epoch (clamped to [1, 100]; 0 takes the default).
+	// released per epoch (capped at 100; 0 or negative takes the default).
 	ScavengeDecay int
 	// ScavengeTrimPad is the number of bytes each arena keeps resident at
 	// its top when the scavenger trims (malloc_trim's pad; 0 takes the

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mtmalloc/internal/heap"
-	"mtmalloc/internal/scavenge"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/telemetry"
 	"mtmalloc/internal/vm"
@@ -32,11 +31,12 @@ import (
 // stop parking in the reuse cache. The window slides on every failure and
 // the shell restores full caching once it expires.
 
-// isNoMem reports whether err means the system ran out of memory — either
+// IsOOM reports whether err means the system ran out of memory — either
 // the heap's wrap (heap.ErrNoMemory) or the vm's typed refusal (vm.ErrNoMem,
-// from a commit limit or injected fault) anywhere in the chain.
-func isNoMem(err error) bool {
-	return err != nil && (errors.Is(err, heap.ErrNoMemory) || errors.Is(err, vm.ErrNoMem))
+// from a commit limit or injected fault; buddy-backend growth surfaces it
+// bare) anywhere in the chain.
+func IsOOM(err error) bool {
+	return errors.Is(err, heap.ErrNoMemory) || errors.Is(err, vm.ErrNoMem)
 }
 
 // farFuture is a cutoff later than every stamp a run can produce: passing it
@@ -122,21 +122,8 @@ func (tc *ThreadCache) emergencyReclaim(t *sim.Thread, level int) uint64 {
 		// flush them ahead of the depot drain so they coalesce with it.
 		total += tc.svc.reclaim(t)
 	}
-	for _, depot := range tc.depots {
-		spans, chunks, bytes := depot.scavenge(t, farFuture, 100)
-		if len(spans) == 0 {
-			continue
-		}
-		victims := make([]tcEntry, 0, chunks)
-		for _, span := range spans {
-			victims = append(victims, span...)
-		}
-		if err := tc.flush(t, victims); err != nil {
-			tc.recordErr(err)
-		}
-		total += bytes
-	}
-	return total + tc.base.emergencyReclaim(t, level)
+	_, _, bytes := tc.drainDepots(t, farFuture, 100)
+	return total + bytes + tc.base.emergencyReclaim(t, level)
 }
 
 // setPressure clamps every magazine class's high-water mark at one batch
@@ -230,7 +217,7 @@ func (r *resilient) retry(t *sim.Thread, err error, kind telemetry.OpKind, class
 			b.tel.Instant(t, "oom retry", "pressure")
 		}
 		mem, rerr := op()
-		if rerr == nil || !isNoMem(rerr) {
+		if !IsOOM(rerr) {
 			return mem, rerr
 		}
 		err = rerr
@@ -246,7 +233,7 @@ func (r *resilient) Malloc(t *sim.Thread, size uint32) (uint64, error) {
 	r.maybeCalm(t)
 	start := t.Now()
 	mem, err := r.Allocator.Malloc(t, size)
-	if err == nil || !isNoMem(err) {
+	if !IsOOM(err) {
 		return mem, err
 	}
 	b := r.rec.baseOf()
@@ -260,7 +247,7 @@ func (r *resilient) Realloc(t *sim.Thread, mem uint64, size uint32) (uint64, err
 	r.maybeCalm(t)
 	start := t.Now()
 	np, err := r.Allocator.Realloc(t, mem, size)
-	if err == nil || !isNoMem(err) {
+	if !IsOOM(err) {
 		return np, err
 	}
 	return r.retry(t, err, telemetry.OpMalloc, 0, start,
@@ -271,7 +258,7 @@ func (r *resilient) Calloc(t *sim.Thread, size uint32) (uint64, error) {
 	r.maybeCalm(t)
 	start := t.Now()
 	mem, err := r.Allocator.Calloc(t, size)
-	if err == nil || !isNoMem(err) {
+	if !IsOOM(err) {
 		return mem, err
 	}
 	b := r.rec.baseOf()
@@ -287,38 +274,22 @@ func (r *resilient) Stats() Stats {
 	return s
 }
 
-// ParkedBytes and Scavenger forward the optional introspection interfaces
-// the bench harness type-asserts for; designs without the tier report zero
-// parked bytes and a nil scavenger, same as before wrapping.
-func (r *resilient) ParkedBytes() uint64 {
-	if p, ok := r.Allocator.(interface{ ParkedBytes() uint64 }); ok {
-		return p.ParkedBytes()
-	}
-	return 0
+// ThreadCacheOf unwraps al (through the pressure shell) to the thread-cache
+// design behind it, nil for the arena-list kinds. The harness reaches the
+// thread cache's extras through it: parked bytes, the scavenger, the
+// offload service and the line-aware placement probe.
+func ThreadCacheOf(al Allocator) *ThreadCache {
+	tc, _ := unwrap(al).(*ThreadCache)
+	return tc
 }
 
-// SharedMagazineLines forwards the line-aware placement probe (designs
-// without magazines report zero: nothing is parked, nothing can share).
-func (r *resilient) SharedMagazineLines() int {
-	if p, ok := r.Allocator.(interface{ SharedMagazineLines() int }); ok {
-		return p.SharedMagazineLines()
+// unwrap returns the design inside the pressure shell, al itself when it is
+// not wrapped.
+func unwrap(al Allocator) Allocator {
+	if r, ok := al.(*resilient); ok {
+		return r.Allocator
 	}
-	return 0
-}
-
-func (r *resilient) Scavenger() *scavenge.Scavenger {
-	if p, ok := r.Allocator.(interface{ Scavenger() *scavenge.Scavenger }); ok {
-		return p.Scavenger()
-	}
-	return nil
-}
-
-// Service forwards the offload engine so ServiceOf sees through the shell.
-func (r *resilient) Service() *Service {
-	if p, ok := r.Allocator.(interface{ Service() *Service }); ok {
-		return p.Service()
-	}
-	return nil
+	return al
 }
 
 var _ Allocator = (*resilient)(nil)

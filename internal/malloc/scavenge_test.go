@@ -95,6 +95,196 @@ func TestScavengerDecaysIdleMagazines(t *testing.T) {
 	}
 }
 
+// parkMagazine mallocs and frees n 64-byte chunks on th, leaving them parked
+// in th's magazine.
+func parkMagazine(t *testing.T, th *sim.Thread, al *ThreadCache, n int) {
+	t.Helper()
+	var ps []uint64
+	for i := 0; i < n; i++ {
+		p, err := al.Malloc(th, 64)
+		if err != nil {
+			t.Fatalf("Malloc: %v", err)
+		}
+		ps = append(ps, p)
+	}
+	for _, p := range ps {
+		if err := al.Free(th, p); err != nil {
+			t.Fatalf("Free: %v", err)
+		}
+	}
+	if got := al.Stats().CachedChunks; got != n {
+		t.Fatalf("cached chunks=%d, want %d parked", got, n)
+	}
+}
+
+// TestScavengerTickFiresOnEpochBoundary: the first Tick only arms the
+// schedule one interval out, a Tick one cycle early does nothing, the Tick
+// at the boundary runs one pass, and the next pass is due one interval after
+// that pass completed.
+func TestScavengerTickFiresOnEpochBoundary(t *testing.T) {
+	m, as := newWorld(2, 109)
+	err := m.Run(func(main *sim.Thread) {
+		costs := scavCosts(100000, 50)
+		costs.DepotCapBytes = -1
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
+		if err != nil {
+			t.Errorf("threadcache: %v", err)
+			return
+		}
+		sc := al.Scavenger()
+		if sc.Tick(main) {
+			t.Error("first Tick ran a pass instead of arming the schedule")
+		}
+		if want := main.Now() + 100000; sc.nextAt != want {
+			t.Fatalf("nextAt = %d after arming, want %d", sc.nextAt, want)
+		}
+		main.Charge(99999)
+		if sc.Tick(main) {
+			t.Error("Tick fired one cycle early")
+		}
+		main.Charge(1)
+		if !sc.Tick(main) {
+			t.Fatal("Tick did not fire at the epoch boundary")
+		}
+		if got := al.Stats().ScavengeEpochs; got != 1 {
+			t.Errorf("ScavengeEpochs = %d, want 1", got)
+		}
+		if want := main.Now() + 100000; sc.nextAt != want {
+			t.Errorf("nextAt = %d after the pass, want %d", sc.nextAt, want)
+		}
+		if sc.Tick(main) {
+			t.Error("Tick re-fired inside the same epoch")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScavengerDecayPercentClamped: a decay above 100% is clamped, so it
+// drains an idle magazine in one pass exactly like 100% does.
+func TestScavengerDecayPercentClamped(t *testing.T) {
+	for _, decay := range []int{100, 500} {
+		m, as := newWorld(2, 113)
+		err := m.Run(func(main *sim.Thread) {
+			costs := scavCosts(100000, decay)
+			costs.DepotCapBytes = -1
+			al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
+			if err != nil {
+				t.Errorf("threadcache: %v", err)
+				return
+			}
+			parkMagazine(t, main, al, 8)
+			main.Charge(200000)
+			al.Scavenger().Force(main)
+			st := al.Stats()
+			if st.CachedChunks != 0 || st.ScavengeMagChunks != 8 {
+				t.Errorf("decay %d: %d chunks still cached, %d scavenged; want 0 and 8",
+					decay, st.CachedChunks, st.ScavengeMagChunks)
+			}
+			if err := al.Check(); err != nil {
+				t.Errorf("decay %d: Check: %v", decay, err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestScavengerBackgroundDecaysIdleMagazine: with every application thread
+// idle — no inline Ticks at all — the background thread alone runs the
+// passes that drain a parked magazine.
+func TestScavengerBackgroundDecaysIdleMagazine(t *testing.T) {
+	m, as := newWorld(2, 117)
+	err := m.Run(func(main *sim.Thread) {
+		costs := scavCosts(100000, 100)
+		costs.DepotCapBytes = -1
+		al, err := newTestThreadCache(main, as, heap.DefaultParams(), costs)
+		if err != nil {
+			t.Errorf("threadcache: %v", err)
+			return
+		}
+		parkMagazine(t, main, al, 8)
+		stop := false
+		bg := main.Spawn("scavenger", func(w *sim.Thread) {
+			al.Scavenger().Background(w, func() bool { return stop })
+		})
+		main.Sleep(400000)
+		stop = true
+		main.Join(bg)
+		st := al.Stats()
+		if st.ScavengeEpochs == 0 {
+			t.Fatal("background thread ran no pass over four idle intervals")
+		}
+		if st.CachedChunks != 0 {
+			t.Errorf("cached chunks=%d after background passes, want 0", st.CachedChunks)
+		}
+		if err := al.Check(); err != nil {
+			t.Errorf("Check: %v", err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScavengerSingleDriverPreventsDoubleDecay: while the service runs, two
+// application threads ticking on the shared schedule never run a pass, so
+// passes happen only at the service driver's cadence, and the driver alone
+// drains an idle parked magazine. After Stop any thread may drive again.
+func TestScavengerSingleDriverPreventsDoubleDecay(t *testing.T) {
+	m, as := newNUMAWorld(4, 2, 47)
+	err := m.Run(func(main *sim.Thread) {
+		// The service wakes every two scavenge intervals, so the schedule
+		// falls due between its epochs where an app thread could take it.
+		costs := svcCosts(200000)
+		costs.ScavengeInterval = 100000
+		costs.ScavengeDecay = 50
+		al, err := newThreadCache(main, "threadcache-svc", as, heap.DefaultParams(), costs, design{offload: true})
+		if err != nil {
+			t.Errorf("new threadcache-svc: %v", err)
+			return
+		}
+		parkMagazine(t, main, al, 8)
+		sc := al.Scavenger()
+		al.Service().Start(main)
+		// The tickers poll ten times per scavenge interval, so without the
+		// single driver they would run a pass as soon as one fell due.
+		ticker := func(th *sim.Thread) {
+			for i := 0; i < 100; i++ {
+				th.Sleep(10000)
+				if sc.Tick(th) {
+					t.Errorf("%s: non-driver Tick ran a pass", th.Name)
+				}
+			}
+		}
+		app := main.Spawn("app", ticker)
+		ticker(main)
+		main.Join(app)
+		st := al.Stats()
+		if st.ScavengeEpochs < 4 || st.ScavengeEpochs > 6 {
+			t.Errorf("ScavengeEpochs = %d over ~5 service epochs with three tickers, want one pass per service epoch",
+				st.ScavengeEpochs)
+		}
+		if st.CachedChunks != 0 || st.ScavengeMagChunks != 8 {
+			t.Errorf("driver passes left %d chunks cached, scavenged %d; want 0 and 8",
+				st.CachedChunks, st.ScavengeMagChunks)
+		}
+		al.Service().Stop(main)
+		main.Sleep(100000)
+		if !sc.Tick(main) {
+			t.Error("Tick refused after Stop handed the schedule back")
+		}
+		if err := al.Check(); err != nil {
+			t.Errorf("Check: %v", err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestScavengerSparesActiveMagazines: a cache whose owner keeps allocating
 // is never decayed, so the hit path stays hot.
 func TestScavengerSparesActiveMagazines(t *testing.T) {

@@ -36,9 +36,9 @@ import (
 //     or arenas — at least ServiceWatermark spans per class per epoch,
 //     deepened by the window's misses, (3) releases the shelf of classes
 //     that have gone cold, and (4) — on node 0's thread only — drives the
-//     five-stage scavenge cascade, registered as the scavenger's single
-//     driver so inline Ticks and stray background loops cannot double-decay
-//     an epoch.
+//     five-stage scavenge cascade; while the service runs no other thread's
+//     Tick counts, so inline Ticks and stray background loops cannot
+//     double-decay an epoch.
 //
 // The mailbox itself is ordinary Go state mutated only while its owner runs
 // — the engine resumes one simulated thread at a time — so the message
@@ -178,8 +178,8 @@ func newService(tc *ThreadCache, costs CostParams) *Service {
 func (s *Service) Running() bool { return s.running }
 
 // Start spawns one service thread per node, each pinned to the last CPU of
-// its node's block, and elects node 0's thread as the scavenge driver.
-// Idempotent while running.
+// its node's block. Until Stop, node 0's thread is the only one whose
+// scavenge Ticks count (Scavenger.Tick). Idempotent while running.
 func (s *Service) Start(parent *sim.Thread) {
 	if s.running {
 		return
@@ -200,15 +200,12 @@ func (s *Service) Start(parent *sim.Thread) {
 		})
 		n.thread.Pin(last)
 	}
-	if s.tc.scav != nil {
-		s.tc.scav.SetDriver(s.nodes[0].thread)
-	}
 }
 
-// Stop shuts the service down: the fast paths go inert immediately, each
-// thread is joined at its next epoch boundary, the scavenge schedule is
-// handed back, and every mailbox is drained through the synchronous release
-// path so no chunk stays parked in a dead mailbox.
+// Stop shuts the service down: the fast paths go inert and the scavenge
+// schedule is handed back immediately, each thread is joined at its next
+// epoch boundary, and every mailbox is drained through the synchronous
+// release path so no chunk stays parked in a dead mailbox.
 func (s *Service) Stop(t *sim.Thread) {
 	if !s.running {
 		return
@@ -220,9 +217,6 @@ func (s *Service) Stop(t *sim.Thread) {
 	for _, n := range s.nodes {
 		t.Join(n.thread)
 		n.thread = nil
-	}
-	if s.tc.scav != nil {
-		s.tc.scav.SetDriver(nil)
 	}
 	tc := s.tc
 	for _, n := range s.nodes {
@@ -546,8 +540,9 @@ func (s *Service) epoch(t *sim.Thread, n *svcNode) {
 	box.demand = make(map[uint32]svcDemand)
 	box.used = make(map[uint32]svcDemand)
 
-	// 4. Node 0's thread is the elected scavenge driver (SetDriver): the
-	// five-stage cascade runs here, off every app thread's critical path.
+	// 4. Node 0's thread is the only scavenge driver while the service
+	// runs: the five-stage cascade runs here, off every app thread's
+	// critical path.
 	if n.node == 0 && tc.scav != nil {
 		scavStart := t.Now()
 		if tc.scav.Tick(t) && tc.tel != nil {
@@ -574,7 +569,7 @@ func (s *Service) fetchSpan(t *sim.Thread, node int, csz, req uint32) []tcEntry 
 	if tc.lf != nil {
 		entries, err := tc.lf.refill(t, node, csz, tc.batch, tc.batch)
 		if err != nil {
-			if !isNoMem(err) {
+			if !IsOOM(err) {
 				tc.recordErr(fmt.Errorf("malloc: service prefetch: %w", err))
 			}
 			return nil
@@ -724,15 +719,12 @@ func (s *Service) check(seen map[uint64]bool, owns func(tcEntry) error) error {
 }
 
 // Service returns the allocator's offload engine, nil unless the kind is
-// offloaded. The harness uses it to start the per-node threads once the
+// offloaded — or tc is nil, so ThreadCacheOf(al).Service() serves every
+// kind. The harness uses it to start the per-node threads once the
 // simulation's main thread exists and to stop them before the run ends.
-func (tc *ThreadCache) Service() *Service { return tc.svc }
-
-// ServiceOf unwraps al (through the resilient shell) to its offload engine,
-// nil for designs without one.
-func ServiceOf(al Allocator) *Service {
-	if p, ok := al.(interface{ Service() *Service }); ok {
-		return p.Service()
+func (tc *ThreadCache) Service() *Service {
+	if tc == nil {
+		return nil
 	}
-	return nil
+	return tc.svc
 }

@@ -30,10 +30,7 @@ func AttachTelemetry(al Allocator, rec *telemetry.Recorder) bool {
 // baseOfAllocator digs the shared base out of al, unwrapping the pressure
 // shell when present.
 func baseOfAllocator(al Allocator) *base {
-	if r, ok := al.(*resilient); ok {
-		return r.rec.baseOf()
-	}
-	if rec, ok := al.(reclaimer); ok {
+	if rec, ok := unwrap(al).(reclaimer); ok {
 		return rec.baseOf()
 	}
 	return nil

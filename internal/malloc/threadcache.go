@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"mtmalloc/internal/heap"
-	"mtmalloc/internal/scavenge"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/telemetry"
 	"mtmalloc/internal/vm"
@@ -84,11 +83,11 @@ type ThreadCache struct {
 	adaptive   bool
 	growStreak int
 
-	// scav is the reclamation engine (internal/scavenge), nil unless
-	// ScavengeInterval opted in. trimPad is the resident pad its trim source
-	// keeps at every arena top and minBinBytes the binned-release floor; both
-	// are set by newScavenger, the single owner of the reclamation tuning.
-	scav        *scavenge.Scavenger
+	// scav is the reclamation schedule (scavenge.go), nil unless
+	// ScavengeInterval opted in. trimPad is the resident pad its trim stage
+	// keeps at every arena top, minBinBytes the binned-release floor and
+	// binPad the binned-release pad; all three are set only when scav is.
+	scav        *Scavenger
 	trimPad     uint32
 	minBinBytes uint64
 	binPad      uint64
@@ -242,6 +241,7 @@ func newThreadCache(t *sim.Thread, name string, as *vm.AddressSpace, params heap
 	if costs.ScavengeDecay <= 0 {
 		costs.ScavengeDecay = def.ScavengeDecay
 	}
+	costs.ScavengeDecay = min(costs.ScavengeDecay, 100)
 	if costs.ScavengeTrimPad == 0 {
 		costs.ScavengeTrimPad = def.ScavengeTrimPad
 	}
@@ -303,7 +303,19 @@ func newThreadCache(t *sim.Thread, name string, as *vm.AddressSpace, params heap
 		tc.lf = newLFBackend(b.name, as, tc.shards, costs, &b.stats)
 	}
 	if costs.ScavengeInterval > 0 {
-		tc.scav = tc.newScavenger(costs)
+		if pad := costs.ScavengeTrimPad; pad > 0 {
+			tc.trimPad = uint32(pad)
+		}
+		if costs.ScavengeMinBinBytes > 0 {
+			tc.minBinBytes = uint64(costs.ScavengeMinBinBytes)
+			switch {
+			case costs.ScavengeBinPad == 0:
+				tc.binPad = DefaultScavengeBinPad
+			case costs.ScavengeBinPad > 0:
+				tc.binPad = uint64(costs.ScavengeBinPad)
+			}
+		}
+		tc.scav = &Scavenger{tc: tc, interval: sim.Time(costs.ScavengeInterval), decay: costs.ScavengeDecay}
 	}
 	if d.offload {
 		if costs.ServiceInterval <= 0 {
@@ -1065,11 +1077,6 @@ func (tc *ThreadCache) Stats() Stats {
 		s.CASAttempts += bs.CASAttempts
 		s.CASFails += bs.CASFails
 		s.CASRetryCycles += uint64(bs.RetryCycles)
-	}
-	if tc.scav != nil {
-		sc := tc.scav.Stats()
-		s.ScavengeEpochs = sc.Epochs
-		s.ScavengeBytes = sc.BytesReleased
 	}
 	if tc.svc != nil {
 		s.SvcParkedChunks, s.SvcParkedBytes = tc.svc.parked()

@@ -210,10 +210,6 @@ func (mu *Mutex) clearDescheduled() {
 	mu.heldBy = nil
 }
 
-// Held reports whether the mutex is inside a critical section right now
-// (only meaningful during a thread's turn; used by invariant checks).
-func (mu *Mutex) Held() bool { return mu.holder != nil }
-
 // ContentionRate returns the fraction of acquisitions that waited.
 func (mu *Mutex) ContentionRate() float64 {
 	if mu.Acquisitions == 0 {

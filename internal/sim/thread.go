@@ -105,9 +105,6 @@ func (t *Thread) Pin(cpu int) {
 	t.pin = cpu
 }
 
-// PinnedCPU returns the CPU the thread is pinned to, -1 when unpinned.
-func (t *Thread) PinnedCPU() int { return t.pin }
-
 // Charge advances the thread's clock by the given number of cycles,
 // representing CPU work. Negative charges are a programming error.
 func (t *Thread) Charge(c Time) {
@@ -232,9 +229,6 @@ func (t *Thread) Elapsed() Time {
 func (t *Thread) ElapsedSeconds() float64 {
 	return t.machine.Seconds(t.Elapsed())
 }
-
-// Finished reports whether the thread body has returned.
-func (t *Thread) Finished() bool { return t.state == stateDone }
 
 // run is the goroutine wrapper around the thread body.
 func (t *Thread) run() {

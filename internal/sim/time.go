@@ -60,11 +60,3 @@ func maxTime(a, b Time) Time {
 	}
 	return b
 }
-
-// minTime returns the earlier of two times.
-func minTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1199,13 +1199,6 @@ func (as *AddressSpace) Touch(t *sim.Thread, addr uint64) {
 	as.Read8(t, addr)
 }
 
-// TouchRange faults in every page of [addr, addr+length).
-func (as *AddressSpace) TouchRange(t *sim.Thread, addr, length uint64) {
-	for a := pageFloor(addr); a < addr+length; a += PageSize {
-		as.Touch(t, a)
-	}
-}
-
 func pageFloor(a uint64) uint64 { return a &^ (PageSize - 1) }
 func pageCeil(a uint64) uint64  { return (a + PageSize - 1) &^ (PageSize - 1) }
 
