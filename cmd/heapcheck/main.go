@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"mtmalloc/internal/bench"
+	"mtmalloc/internal/cpuprof"
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/telemetry"
@@ -44,7 +45,14 @@ func main() {
 	memLimitRatio := flag.Float64("memlimit-ratio", 0, "commit limit as a fraction of the unlimited run's peak committed bytes (0 off; measures peak with a first pass per seed)")
 	faultRate := flag.Float64("faultrate", 0, "probability of an injected mmap/sbrk failure per growth attempt (0 off; deterministic per seed)")
 	telemetryOn := flag.Bool("telemetry", false, "record allocator telemetry and print per-seed tier attribution and the top-3 latency classes")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (runtime/pprof format)")
 	flag.Parse()
+	stop, err := cpuprof.Start(*cpuProfile)
+	if err != nil {
+		fatal(err)
+	}
+	stopProfile = stop
+	defer stopProfile()
 	if *binnedRelease && *scavenge == 0 {
 		*scavenge = 50000
 	}
@@ -284,7 +292,12 @@ func torture(cfg tortureConfig) (tortureResult, error) {
 	return res, checkErr
 }
 
+// stopProfile ends the -cpuprofile profile; fatal calls it so a failed run
+// still leaves a readable profile.
+var stopProfile = func() {}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "heapcheck:", err)
+	stopProfile()
 	os.Exit(1)
 }

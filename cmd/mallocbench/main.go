@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"mtmalloc/internal/bench"
+	"mtmalloc/internal/cpuprof"
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/telemetry"
 )
@@ -47,7 +48,14 @@ func main() {
 	jsonPath := flag.String("json", "", "also write the result table as JSON to this file")
 	telemetryPath := flag.String("telemetry", "", "larson: record telemetry and write run 0's report JSON here plus a Chrome trace-event file next to it (<name>.trace.json); adds latency percentile columns")
 	csv := flag.Bool("csv", false, "CSV output")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (runtime/pprof format)")
 	flag.Parse()
+	stop, err := cpuprof.Start(*cpuProfile)
+	if err != nil {
+		fatal(err)
+	}
+	stopProfile = stop
+	defer stopProfile()
 	if *telemetryPath != "" && *which != "larson" {
 		fatal(fmt.Errorf("-telemetry is only wired into -bench larson (got -bench %q)", *which))
 	}
@@ -228,7 +236,12 @@ func allocatorKinds() string {
 	return strings.Join(names, ", ")
 }
 
+// stopProfile ends the -cpuprofile profile; fatal calls it so a failed run
+// still leaves a readable profile.
+var stopProfile = func() {}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mallocbench:", err)
+	stopProfile()
 	os.Exit(1)
 }

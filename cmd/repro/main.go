@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	repro [-scale 0.05] [-seed 1] [-experiment T1] [-ablations] [-md EXPERIMENTS.md]
+//	repro [-scale 0.05] [-seed 1] [-experiment T1] [-ablations] [-md EXPERIMENTS.md] [-cpuprofile cpu.pprof]
 //
 // -scale multiplies benchmark 1's 10-million-pair loops (results are
 // rescaled and annotated); benchmarks 2 and 3 always run at full size.
@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"mtmalloc/internal/bench"
+	"mtmalloc/internal/cpuprof"
 )
 
 func main() {
@@ -26,7 +27,17 @@ func main() {
 	exp := flag.String("experiment", "", "run a single experiment by ID (e.g. T1, F9); empty = all")
 	ablations := flag.Bool("ablations", false, "also run the ablation studies A1-A6")
 	mdPath := flag.String("md", "", "write results as markdown to this file (e.g. EXPERIMENTS.md)")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (runtime/pprof format)")
 	flag.Parse()
+	stopProfile, err := cpuprof.Start(*cpuProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	exit := func(code int) {
+		stopProfile()
+		os.Exit(code)
+	}
 
 	opts := bench.Options{Scale: *scale, Seed: *seed}
 
@@ -35,7 +46,7 @@ func main() {
 		e, err := bench.ByID(*exp)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		list = []bench.Experiment{e}
 	} else {
@@ -77,13 +88,14 @@ func main() {
 	if *mdPath != "" {
 		if err := os.WriteFile(*mdPath, []byte(md.String()), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "writing markdown:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Println("wrote", *mdPath)
 	}
 	if failures > 0 {
-		os.Exit(1)
+		exit(1)
 	}
+	exit(0)
 }
 
 func indent(s, pad string) string {

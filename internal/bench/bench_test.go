@@ -637,3 +637,28 @@ func TestBench2RoundIdle(t *testing.T) {
 		t.Errorf("round idle changed faults: %d vs %d", idle.Runs[0].MinorFaults, base.Runs[0].MinorFaults)
 	}
 }
+
+// BenchmarkExperiment runs each D experiment through the registry once per
+// iteration, at the reduced scales of the CI smoke runs: the host cost of
+// one experiment, for `go test -bench Experiment -cpuprofile cpu.pprof`.
+func BenchmarkExperiment(b *testing.B) {
+	for _, c := range []struct {
+		id    string
+		scale float64
+	}{
+		{"D2", 0.002}, {"D3", 0.01}, {"D4", 0.5}, {"D5", 0.25},
+		{"D6", 0.1}, {"D9", 0.25}, {"D10", 0.25},
+	} {
+		e, err := ByID(c.id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(Options{Scale: c.scale, Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

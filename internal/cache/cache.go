@@ -10,11 +10,13 @@
 // exact for the false-sharing experiment (benchmark 3) and a good
 // approximation for allocator-metadata "cache sloshing".
 //
-// Lines are identified by a key that combines an address-space ID with the
-// line-aligned address, so two processes never generate coherence traffic
-// against one another even when their heaps use identical virtual addresses;
-// this is precisely the asymmetry benchmark 1 measures between the
-// two-thread and two-process configurations.
+// The Model prices accesses and keeps the per-CPU statistics; the directory
+// state lives in a Lines value owned by each resident page of the vm layer.
+// Because every address space owns its own pages, two processes never
+// generate coherence traffic against one another even when their heaps use
+// identical virtual addresses; this is precisely the asymmetry benchmark 1
+// measures between the two-thread and two-process configurations. Unmapping
+// a page drops its lines with it, so recycled addresses start cold.
 package cache
 
 // Costs is the per-access cycle cost model.
@@ -32,10 +34,44 @@ func DefaultCosts() Costs {
 	return Costs{Hit: 2, MissMemory: 40, MissRemote: 60, Upgrade: 12}
 }
 
-// line is the directory entry for one cache line.
+// line is the directory state of one cache line, unpacked.
 type line struct {
 	owner   int8   // CPU with the dirty copy, -1 if none
 	sharers uint64 // bitmask of CPUs with a readable copy
+}
+
+// groupLines is how many consecutive lines one lineGroup covers, and
+// maxLines how many a Lines covers: one 4 KB page at the 16-byte minimum
+// line size NewModel accepts.
+const (
+	groupLines = 16
+	maxLines   = 256
+)
+
+// lineGroup is the directory state of groupLines consecutive lines. Owners
+// and sharers sit in separate arrays, which packs a group to 9 bytes per
+// line. The zero group is all lines invalid everywhere.
+type lineGroup struct {
+	owner   [groupLines]int8   // CPU with the dirty copy plus one, 0 if none
+	sharers [groupLines]uint64 // bitmask of CPUs with a readable copy
+}
+
+// Lines is the coherence directory of one page's lines. Its owner (the vm
+// layer's page entry) decides which lines it covers, so two pages — and two
+// address spaces — never share state; dropping the page drops its lines.
+// Groups are allocated on first access; the zero Lines is all invalid.
+type Lines struct {
+	groups [maxLines / groupLines]*lineGroup
+}
+
+// Reset returns every line to invalid, keeping the allocated groups for
+// reuse.
+func (ls *Lines) Reset() {
+	for _, g := range ls.groups {
+		if g != nil {
+			*g = lineGroup{}
+		}
+	}
 }
 
 // CPUStats aggregates access outcomes per CPU.
@@ -47,27 +83,20 @@ type CPUStats struct {
 	Invalidated  uint64 // lines this CPU lost to another CPU's write
 }
 
-// Model is a cache-coherence directory for one machine.
+// Model prices accesses for one machine and keeps its per-CPU statistics.
+// The directory state itself lives in the Lines its callers own.
 type Model struct {
-	numCPUs int
-	shift   uint
-	costs   Costs
+	shift uint
+	costs Costs
 
-	lines map[uint64]line
 	stats []CPUStats
-
-	// lastKey/lastVal is a one-entry lookup cache: allocator loops touch the
-	// same few lines repeatedly and this keeps the hot path off the map.
-	lastKey uint64
-	lastOK  bool
-	lastVal line
 
 	// OwnerFlips counts transitions of dirty ownership between distinct
 	// CPUs: the "ping-pong" statistic.
 	OwnerFlips uint64
 }
 
-// NewModel creates a directory for numCPUs CPUs and 2^lineShift-byte lines.
+// NewModel creates a model for numCPUs CPUs and 2^lineShift-byte lines.
 func NewModel(numCPUs int, lineShift uint, costs Costs) *Model {
 	if numCPUs < 1 || numCPUs > 64 {
 		panic("cache: unsupported CPU count")
@@ -76,11 +105,9 @@ func NewModel(numCPUs int, lineShift uint, costs Costs) *Model {
 		panic("cache: unreasonable line size")
 	}
 	return &Model{
-		numCPUs: numCPUs,
-		shift:   lineShift,
-		costs:   costs,
-		lines:   make(map[uint64]line, 1024),
-		stats:   make([]CPUStats, numCPUs),
+		shift: lineShift,
+		costs: costs,
+		stats: make([]CPUStats, numCPUs),
 	}
 }
 
@@ -89,36 +116,6 @@ func (m *Model) LineSize() uint64 { return 1 << m.shift }
 
 // Costs returns the cost model.
 func (m *Model) Costs() Costs { return m.costs }
-
-// Key builds a directory key from an address-space ID and a byte address.
-// Addresses are assumed to fit in 44 bits (the simulated machines are
-// 32-bit); the space ID occupies the high bits so distinct spaces can never
-// alias.
-func (m *Model) Key(space uint32, addr uint64) uint64 {
-	return uint64(space)<<44 | addr>>m.shift
-}
-
-// SameLine reports whether two addresses in one space fall on one line.
-func (m *Model) SameLine(a, b uint64) bool {
-	return a>>m.shift == b>>m.shift
-}
-
-func (m *Model) load(key uint64) line {
-	if m.lastOK && m.lastKey == key {
-		return m.lastVal
-	}
-	l, ok := m.lines[key]
-	if !ok {
-		l = line{owner: -1}
-	}
-	m.lastKey, m.lastVal, m.lastOK = key, l, true
-	return l
-}
-
-func (m *Model) store(key uint64, l line) {
-	m.lines[key] = l
-	m.lastKey, m.lastVal, m.lastOK = key, l, true
-}
 
 // Fill classifies where an access's data came from, for callers that price
 // the interconnect distance of the fill (the vm layer's NUMA surcharge).
@@ -130,59 +127,63 @@ const (
 	FillCache              // served from another CPU's dirty copy
 )
 
-// Access charges one read or write by cpu against the line identified by
-// key and returns its cost in cycles, updating directory state.
-func (m *Model) Access(cpu int, key uint64, write bool) int64 {
-	c, _, _ := m.AccessFill(cpu, key, write)
-	return c
+// AccessLine charges one read or write by cpu against line idx of ls,
+// updating its directory state. It returns the cost in cycles and the fill
+// classification: where the data came from, and — for cache-to-cache
+// transfers — which CPU supplied it (-1 otherwise). The vm layer uses the
+// pair to decide whether a fill crossed a NUMA node boundary: a memory fill
+// travels from the page's home node, a cache-to-cache fill from the supplier
+// CPU's node.
+func (m *Model) AccessLine(cpu int, ls *Lines, idx int, write bool) (int64, Fill, int) {
+	g := ls.groups[idx/groupLines]
+	if g == nil {
+		g = new(lineGroup)
+		ls.groups[idx/groupLines] = g
+	}
+	i := idx % groupLines
+	l, c, fill, from := m.transition(cpu, line{owner: g.owner[i] - 1, sharers: g.sharers[i]}, write)
+	g.owner[i], g.sharers[i] = l.owner+1, l.sharers
+	return c, fill, from
 }
 
-// AccessFill is Access plus the fill classification: where the data came
-// from, and — for cache-to-cache transfers — which CPU supplied it (-1
-// otherwise). The vm layer uses the pair to decide whether a fill crossed
-// a NUMA node boundary: a memory fill travels from the page's home node, a
-// cache-to-cache fill from the supplier CPU's node.
-func (m *Model) AccessFill(cpu int, key uint64, write bool) (int64, Fill, int) {
-	l := m.load(key)
+// transition is the MESI-lite state machine: the state l moves to when cpu
+// reads or writes the line, with the access's cost and fill classification.
+// It charges the per-CPU statistics.
+func (m *Model) transition(cpu int, l line, write bool) (line, int64, Fill, int) {
 	bit := uint64(1) << uint(cpu)
 	st := &m.stats[cpu]
+	owned := line{owner: int8(cpu), sharers: bit}
 
 	if write {
 		switch {
 		case l.owner == int8(cpu):
 			st.Hits++
-			return m.costs.Hit, FillNone, -1
+			return l, m.costs.Hit, FillNone, -1
 		case l.owner >= 0:
 			// Another CPU has the dirty copy: fetch it and take ownership.
 			st.RemoteMisses++
 			m.stats[l.owner].Invalidated++
 			m.OwnerFlips++
-			from := int(l.owner)
-			m.store(key, line{owner: int8(cpu), sharers: bit})
-			return m.costs.MissRemote, FillCache, from
+			return owned, m.costs.MissRemote, FillCache, int(l.owner)
 		case l.sharers == bit:
 			// We have the only clean copy: silent upgrade still costs a bus
 			// transaction on this era of hardware.
 			st.Upgrades++
-			m.store(key, line{owner: int8(cpu), sharers: bit})
-			return m.costs.Upgrade, FillNone, -1
+			return owned, m.costs.Upgrade, FillNone, -1
 		case l.sharers&bit != 0:
 			// We share it with others: invalidate them.
 			st.Upgrades++
 			m.chargeInvalidations(l.sharers &^ bit)
-			m.store(key, line{owner: int8(cpu), sharers: bit})
-			return m.costs.Upgrade, FillNone, -1
+			return owned, m.costs.Upgrade, FillNone, -1
 		case l.sharers != 0:
 			// Others hold it clean, we do not: read-for-ownership from
 			// memory plus invalidations.
 			st.ColdMisses++
 			m.chargeInvalidations(l.sharers)
-			m.store(key, line{owner: int8(cpu), sharers: bit})
-			return m.costs.MissMemory, FillMemory, -1
+			return owned, m.costs.MissMemory, FillMemory, -1
 		default:
 			st.ColdMisses++
-			m.store(key, line{owner: int8(cpu), sharers: bit})
-			return m.costs.MissMemory, FillMemory, -1
+			return owned, m.costs.MissMemory, FillMemory, -1
 		}
 	}
 
@@ -190,18 +191,15 @@ func (m *Model) AccessFill(cpu int, key uint64, write bool) (int64, Fill, int) {
 	switch {
 	case l.owner == int8(cpu), l.owner < 0 && l.sharers&bit != 0:
 		st.Hits++
-		return m.costs.Hit, FillNone, -1
+		return l, m.costs.Hit, FillNone, -1
 	case l.owner >= 0:
 		// Dirty in another cache: cache-to-cache transfer, both end shared.
 		st.RemoteMisses++
 		m.OwnerFlips++
-		from := int(l.owner)
-		m.store(key, line{owner: -1, sharers: l.sharers | bit | 1<<uint(l.owner)})
-		return m.costs.MissRemote, FillCache, from
+		return line{owner: -1, sharers: l.sharers | bit | 1<<uint(l.owner)}, m.costs.MissRemote, FillCache, int(l.owner)
 	default:
 		st.ColdMisses++
-		m.store(key, line{owner: -1, sharers: l.sharers | bit})
-		return m.costs.MissMemory, FillMemory, -1
+		return line{owner: -1, sharers: l.sharers | bit}, m.costs.MissMemory, FillMemory, -1
 	}
 }
 
@@ -214,51 +212,11 @@ func (m *Model) chargeInvalidations(mask uint64) {
 	}
 }
 
-// DropRange forgets directory state for [addr, addr+length) in the given
-// space; called when pages are unmapped so recycled addresses start cold.
-func (m *Model) DropRange(space uint32, addr, length uint64) {
-	if length == 0 {
-		return
-	}
-	first := m.Key(space, addr)
-	last := m.Key(space, addr+length-1)
-	for k := first; k <= last; k++ {
-		delete(m.lines, k)
-	}
-	m.lastOK = false
-}
-
 // Stats returns a copy of the per-CPU statistics.
 func (m *Model) Stats() []CPUStats {
 	out := make([]CPUStats, len(m.stats))
 	copy(out, m.stats)
 	return out
-}
-
-// TotalRemoteMisses sums dirty cache-to-cache transfers over all CPUs.
-func (m *Model) TotalRemoteMisses() uint64 {
-	var t uint64
-	for i := range m.stats {
-		t += m.stats[i].RemoteMisses
-	}
-	return t
-}
-
-// Writers returns how many distinct CPUs from the given list would write
-// the line containing addr, given each CPU writes the address pattern
-// described by addrsPerCPU. It is a helper for analytic compute phases.
-func Writers(m *Model, space uint32, lineAddr uint64, addrsPerCPU map[int][]uint64) int {
-	key := m.Key(space, lineAddr)
-	n := 0
-	for _, addrs := range addrsPerCPU {
-		for _, a := range addrs {
-			if m.Key(space, a) == key {
-				n++
-				break
-			}
-		}
-	}
-	return n
 }
 
 // SteadyWriteCost returns the expected per-write cost, in cycles, for a CPU

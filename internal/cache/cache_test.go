@@ -9,13 +9,19 @@ import (
 
 func newTest() *Model { return NewModel(4, 5, DefaultCosts()) }
 
+// access charges one access by cpu to line idx of ls and returns its cost.
+func access(m *Model, cpu int, ls *Lines, idx int, write bool) int64 {
+	c, _, _ := m.AccessLine(cpu, ls, idx, write)
+	return c
+}
+
 func TestColdReadThenHit(t *testing.T) {
 	m := newTest()
-	k := m.Key(0, 0x1000)
-	if c := m.Access(0, k, false); c != m.costs.MissMemory {
+	var ls Lines
+	if c := access(m, 0, &ls, 0, false); c != m.costs.MissMemory {
 		t.Fatalf("cold read cost %d, want %d", c, m.costs.MissMemory)
 	}
-	if c := m.Access(0, k, false); c != m.costs.Hit {
+	if c := access(m, 0, &ls, 0, false); c != m.costs.Hit {
 		t.Fatalf("second read cost %d, want hit", c)
 	}
 	st := m.Stats()[0]
@@ -26,46 +32,47 @@ func TestColdReadThenHit(t *testing.T) {
 
 func TestWriteThenWriteHit(t *testing.T) {
 	m := newTest()
-	k := m.Key(0, 0x40)
-	m.Access(1, k, true)
-	if c := m.Access(1, k, true); c != m.costs.Hit {
+	var ls Lines
+	access(m, 1, &ls, 2, true)
+	if c := access(m, 1, &ls, 2, true); c != m.costs.Hit {
 		t.Fatalf("owned write cost %d, want hit", c)
 	}
 }
 
 func TestUpgradeFromSoleSharer(t *testing.T) {
 	m := newTest()
-	k := m.Key(0, 0x80)
-	m.Access(2, k, false) // cold read, sole clean copy
-	if c := m.Access(2, k, true); c != m.costs.Upgrade {
+	var ls Lines
+	access(m, 2, &ls, 4, false) // cold read, sole clean copy
+	if c := access(m, 2, &ls, 4, true); c != m.costs.Upgrade {
 		t.Fatalf("upgrade cost %d, want %d", c, m.costs.Upgrade)
 	}
 }
 
 func TestRemoteDirtyReadTransfers(t *testing.T) {
 	m := newTest()
-	k := m.Key(0, 0xc0)
-	m.Access(0, k, true) // cpu0 owns dirty
-	if c := m.Access(1, k, false); c != m.costs.MissRemote {
-		t.Fatalf("remote read cost %d, want %d", c, m.costs.MissRemote)
+	var ls Lines
+	access(m, 0, &ls, 6, true) // cpu0 owns dirty
+	c, fill, from := m.AccessLine(1, &ls, 6, false)
+	if c != m.costs.MissRemote || fill != FillCache || from != 0 {
+		t.Fatalf("remote read = (%d, %v, %d), want (%d, FillCache, 0)", c, fill, from, m.costs.MissRemote)
 	}
 	// Both now share it clean: reads hit on both.
-	if c := m.Access(0, k, false); c != m.costs.Hit {
+	if c := access(m, 0, &ls, 6, false); c != m.costs.Hit {
 		t.Fatalf("previous owner read cost %d, want hit", c)
 	}
-	if c := m.Access(1, k, false); c != m.costs.Hit {
+	if c := access(m, 1, &ls, 6, false); c != m.costs.Hit {
 		t.Fatalf("new sharer read cost %d, want hit", c)
 	}
 }
 
 func TestPingPongWrites(t *testing.T) {
 	m := newTest()
-	k := m.Key(0, 0x100)
-	m.Access(0, k, true)
+	var ls Lines
+	access(m, 0, &ls, 8, true)
 	flips := m.OwnerFlips
 	for i := 0; i < 10; i++ {
 		cpu := i % 2
-		c := m.Access(cpu, k, true)
+		c := access(m, cpu, &ls, 8, true)
 		if i == 0 && cpu == 0 {
 			continue
 		}
@@ -80,56 +87,61 @@ func TestPingPongWrites(t *testing.T) {
 
 func TestWriteInvalidatesSharers(t *testing.T) {
 	m := newTest()
-	k := m.Key(0, 0x140)
-	m.Access(0, k, false)
-	m.Access(1, k, false)
-	m.Access(2, k, false)
-	m.Access(3, k, true) // had no copy; others shared clean
+	var ls Lines
+	access(m, 0, &ls, 10, false)
+	access(m, 1, &ls, 10, false)
+	access(m, 2, &ls, 10, false)
+	access(m, 3, &ls, 10, true) // had no copy; others shared clean
 	st := m.Stats()
 	if st[0].Invalidated != 1 || st[1].Invalidated != 1 || st[2].Invalidated != 1 {
 		t.Fatalf("invalidations not charged: %+v", st)
 	}
 	// After the write, a read by 0 misses again.
-	if c := m.Access(0, k, false); c == m.costs.Hit {
+	if c := access(m, 0, &ls, 10, false); c == m.costs.Hit {
 		t.Fatal("stale sharer still hit after invalidation")
 	}
 }
 
+// Two directories (two pages, or one address in two spaces) never share
+// state: the same line index in each is an independent line.
 func TestSpacesDoNotInterfere(t *testing.T) {
 	m := newTest()
-	a := m.Key(1, 0x2000)
-	b := m.Key(2, 0x2000)
-	if a == b {
-		t.Fatal("keys for distinct spaces collide")
+	var a, b Lines
+	access(m, 0, &a, 0, true)
+	access(m, 1, &b, 0, true)
+	// Each CPU still owns its own directory's line: both write-hit.
+	if c := access(m, 0, &a, 0, true); c != m.costs.Hit {
+		t.Fatalf("first directory lost ownership: cost %d", c)
 	}
-	m.Access(0, a, true)
-	m.Access(1, b, true)
-	// Each CPU still owns its own space's line: both write-hit.
-	if c := m.Access(0, a, true); c != m.costs.Hit {
-		t.Fatalf("space 1 lost ownership: cost %d", c)
-	}
-	if c := m.Access(1, b, true); c != m.costs.Hit {
-		t.Fatalf("space 2 lost ownership: cost %d", c)
+	if c := access(m, 1, &b, 0, true); c != m.costs.Hit {
+		t.Fatalf("second directory lost ownership: cost %d", c)
 	}
 }
 
-func TestSameLine(t *testing.T) {
+// Reset returns a directory to all-invalid while keeping its groups.
+func TestResetForgetsLines(t *testing.T) {
 	m := newTest()
-	if !m.SameLine(0x20, 0x3f) {
-		t.Fatal("0x20 and 0x3f should share a 32B line")
+	var ls Lines
+	access(m, 0, &ls, 127, true)
+	g := ls.groups[127/groupLines]
+	ls.Reset()
+	if ls.groups[127/groupLines] != g {
+		t.Fatal("Reset dropped an allocated group")
 	}
-	if m.SameLine(0x1f, 0x20) {
-		t.Fatal("0x1f and 0x20 must not share a line")
+	if c, fill, _ := m.AccessLine(1, &ls, 127, false); c != m.costs.MissMemory || fill != FillMemory {
+		t.Fatalf("reset line read = (%d, %v), want a cold memory fill", c, fill)
 	}
 }
 
-func TestDropRange(t *testing.T) {
+// Groups are allocated on first touch only.
+func TestGroupsAllocatedLazily(t *testing.T) {
 	m := newTest()
-	k := m.Key(0, 0x3000)
-	m.Access(0, k, true)
-	m.DropRange(0, 0x3000, 4096)
-	if c := m.Access(1, k, false); c != m.costs.MissMemory {
-		t.Fatalf("dropped line not cold: cost %d", c)
+	var ls Lines
+	access(m, 0, &ls, 17, false)
+	for i, g := range ls.groups {
+		if (g != nil) != (i == 1) {
+			t.Fatalf("group %d allocated = %v after touching line 17 only", i, g != nil)
+		}
 	}
 }
 
@@ -151,36 +163,26 @@ func TestSteadyWriteCost(t *testing.T) {
 	}
 }
 
-func TestWritersHelper(t *testing.T) {
-	m := newTest()
-	addrs := map[int][]uint64{
-		0: {0x100},        // line 8
-		1: {0x110},        // same line as cpu0
-		2: {0x140},        // line 10
-		3: {0x100, 0x190}, // touches line 8 too, plus line 12
-	}
-	if w := Writers(m, 0, 0x100, addrs); w != 3 {
-		t.Fatalf("Writers = %d, want 3", w)
-	}
-	if w := Writers(m, 0, 0x140, addrs); w != 1 {
-		t.Fatalf("Writers = %d, want 1", w)
-	}
-}
-
 // Property: after any access sequence, a line has at most one dirty owner,
 // and an owner is always in the sharer set implied by the state encoding.
 func TestSingleOwnerInvariant(t *testing.T) {
 	f := func(seed uint64) bool {
 		m := newTest()
 		r := xrand.New(seed, 0)
-		keys := []uint64{m.Key(0, 0), m.Key(0, 32), m.Key(0, 64), m.Key(1, 0)}
+		var ls [2]Lines
+		idxs := []int{0, 1, 2, 16, 255}
 		for i := 0; i < 2000; i++ {
-			m.Access(r.Intn(4), keys[r.Intn(len(keys))], r.Intn(2) == 0)
+			access(m, r.Intn(4), &ls[r.Intn(2)], idxs[r.Intn(len(idxs))], r.Intn(2) == 0)
 		}
-		for _, l := range m.lines {
-			if l.owner >= 0 {
-				if l.sharers != 1<<uint(l.owner) {
-					return false
+		for _, l := range ls {
+			for _, g := range l.groups {
+				if g == nil {
+					continue
+				}
+				for i, o := range g.owner {
+					if o != 0 && g.sharers[i] != 1<<uint(o-1) {
+						return false
+					}
 				}
 			}
 		}
@@ -199,8 +201,9 @@ func TestCostsAreFromModel(t *testing.T) {
 		m.costs.Hit: true, m.costs.MissMemory: true,
 		m.costs.MissRemote: true, m.costs.Upgrade: true,
 	}
+	var ls Lines
 	for i := 0; i < 5000; i++ {
-		c := m.Access(r.Intn(4), m.Key(0, uint64(r.Intn(8))*32), r.Intn(2) == 0)
+		c := access(m, r.Intn(4), &ls, r.Intn(8), r.Intn(2) == 0)
 		if !valid[c] {
 			t.Fatalf("access returned unknown cost %d", c)
 		}
@@ -209,19 +212,19 @@ func TestCostsAreFromModel(t *testing.T) {
 
 func BenchmarkAccessHit(b *testing.B) {
 	m := newTest()
-	k := m.Key(0, 0x1000)
-	m.Access(0, k, true)
+	var ls Lines
+	m.AccessLine(0, &ls, 0, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Access(0, k, true)
+		m.AccessLine(0, &ls, 0, true)
 	}
 }
 
 func BenchmarkAccessPingPong(b *testing.B) {
 	m := newTest()
-	k := m.Key(0, 0x1000)
+	var ls Lines
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Access(i%2, k, true)
+		m.AccessLine(i%2, &ls, 0, true)
 	}
 }

@@ -7,9 +7,12 @@
 // All allocator metadata and user data live in real bytes inside the
 // simulated pages; chunk headers are read and written through the typed
 // accessors below, which charge the machine's cache model per access and
-// service page faults on first touch. Unmapping (munmap, negative sbrk)
-// discards page contents and cache lines, so re-extension faults again,
-// exactly as Linux behaves.
+// service page faults on first touch. Each resident page is one entry that
+// holds its bytes, its cache-line directory and its home node, so one lookup
+// serves an access. Unmapping (munmap, negative sbrk) drops the entry —
+// contents and cache lines together — so re-extension faults again, exactly
+// as Linux behaves; the space recycles dropped entries for later faults,
+// zeroed and with every line invalid.
 //
 // The reclamation subsystem adds a weaker form of giving memory back:
 // ReleasePages (madvise(MADV_DONTNEED) semantics) keeps a region mapped but
@@ -52,6 +55,9 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
+	"sort"
 
 	"mtmalloc/internal/cache"
 	"mtmalloc/internal/sim"
@@ -281,14 +287,18 @@ type AddressSpace struct {
 	vmas []VMA // sorted by Start, non-overlapping
 	brk  uint64
 
-	pages map[uint64][]byte
+	// pages holds the resident pages, keyed by page number. spare holds
+	// entries dropped by munmap, brk shrink or ReleasePages for the next
+	// fault to reuse; resident plus spare never exceeds the peak resident
+	// count.
+	pages map[uint64]*page
+	spare []*page
 	// released marks pages ReleasePages handed back to the kernel while their
 	// VMA stayed mapped: the next touch is a refault, not a first touch.
 	released map[uint64]bool
-	// pageNode records each resident page's home node (first-touch or VMA
-	// binding). Only maintained on multi-node machines; see the package
-	// comment's locality model.
-	pageNode map[uint64]int8
+	// lineShift is log2 of the cache model's line size: a page offset
+	// shifted right by it is the line's index in the page's directory.
+	lineShift uint
 	// numaOn caches whether the machine has more than one node (events are
 	// counted whenever they cross nodes); remoteMult caches the cross-node
 	// multiplier that prices them (1 = free interconnect, nothing extra
@@ -300,7 +310,7 @@ type AddressSpace struct {
 	reuseNodeAffinity bool
 	// one-entry page lookup cache: allocator loops touch few pages.
 	lastIdx  uint64
-	lastPage []byte
+	lastPage *page
 
 	// mmLock serializes faults and mapping changes among threads of this
 	// address space (mmap_sem). kernelLock models the kernel-side lock for
@@ -336,6 +346,15 @@ type AddressSpace struct {
 	stats Stats
 }
 
+// page is one resident page: its bytes, the directory of its cache lines
+// and its home node (first-touch or VMA binding; always 0 on a 1-node
+// machine, see the package comment's locality model).
+type page struct {
+	data  []byte
+	lines cache.Lines
+	node  int8
+}
+
 // reuseRegion is one parked anonymous mapping awaiting reuse.
 type reuseRegion struct {
 	addr, length uint64
@@ -367,9 +386,9 @@ func New(id uint32, m *sim.Machine, model *cache.Model, opts ...Option) *Address
 		cache:        model,
 		costs:        DefaultCosts(),
 		brk:          DataBase,
-		pages:        make(map[uint64][]byte, 256),
+		pages:        make(map[uint64]*page, 256),
 		released:     make(map[uint64]bool),
-		pageNode:     make(map[uint64]int8),
+		lineShift:    uint(bits.TrailingZeros64(model.LineSize())),
 		numaOn:       m.Nodes() > 1,
 		remoteMult:   m.RemoteMultiplier(),
 		mmapHint:     MmapBase,
@@ -426,8 +445,8 @@ func (as *AddressSpace) Stats() Stats {
 	s.CommittedBytes = as.committed
 	if as.numa() {
 		s.NodeResidentBytes = make([]uint64, as.mach.Nodes())
-		for _, n := range as.pageNode {
-			s.NodeResidentBytes[n] += PageSize
+		for _, pg := range as.pages {
+			s.NodeResidentBytes[pg.node] += PageSize
 		}
 	}
 	return s
@@ -582,19 +601,14 @@ func (as *AddressSpace) mapped(addr uint64) bool {
 // insertVMA adds a region, keeping the list sorted. It panics on overlap:
 // mapping decisions are made by this package, so overlap is internal error.
 func (as *AddressSpace) insertVMA(v VMA) {
-	i := 0
-	for i < len(as.vmas) && as.vmas[i].Start < v.Start {
-		i++
-	}
+	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].Start >= v.Start })
 	if i > 0 && as.vmas[i-1].End > v.Start {
 		panic(fmt.Sprintf("vm: overlapping mapping %x-%x vs %x-%x", v.Start, v.End, as.vmas[i-1].Start, as.vmas[i-1].End))
 	}
 	if i < len(as.vmas) && v.End > as.vmas[i].Start {
 		panic(fmt.Sprintf("vm: overlapping mapping %x-%x vs %x-%x", v.Start, v.End, as.vmas[i].Start, as.vmas[i].End))
 	}
-	as.vmas = append(as.vmas, VMA{})
-	copy(as.vmas[i+1:], as.vmas[i:])
-	as.vmas[i] = v
+	as.vmas = slices.Insert(as.vmas, i, v)
 }
 
 // vmSyscall charges the cost of entering a VM syscall and holding the
@@ -707,22 +721,25 @@ func (as *AddressSpace) MmapOnNode(t *sim.Thread, length uint64, name string, no
 	return addr, nil
 }
 
-// findFree locates a gap of the given size in the mmap region.
+// firstEndAbove returns the index of the first VMA ending above addr: the
+// first that can contain addr or lie wholly above it. Ends rise with Start
+// because the list is sorted and non-overlapping.
+func (as *AddressSpace) firstEndAbove(addr uint64) int {
+	return sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > addr })
+}
+
+// findFree locates a gap of the given size in the mmap region: the first
+// fit from the mmap base, jumping to the page after each VMA in the way. The
+// walk only moves forward: every VMA behind a jump ends at or below it, and
+// a VMA that ends inside the page a jump rounded up to leaves it in place.
 func (as *AddressSpace) findFree(length uint64) uint64 {
 	limit := as.stackHint - 64*PageSize // keep clear of stacks
 	addr := as.mmapHint
-	for addr+length <= limit {
-		conflict := false
-		for _, v := range as.vmas {
-			if addr < v.End && v.Start < addr+length {
-				addr = pageCeil(v.End)
-				conflict = true
-				break
-			}
-		}
-		if !conflict {
+	for i := as.firstEndAbove(addr); addr+length <= limit; i++ {
+		if i == len(as.vmas) || as.vmas[i].Start >= addr+length {
 			return addr
 		}
+		addr = pageCeil(as.vmas[i].End)
 	}
 	return 0
 }
@@ -738,27 +755,32 @@ func (as *AddressSpace) Munmap(t *sim.Thread, addr, length uint64) error {
 	as.stats.MunmapCalls++
 	length = pageCeil(length)
 	end := addr + length
-	var out []VMA
+	// The VMAs the range touches are one run of the sorted list; it is
+	// replaced by the pieces that survive — the remnants outside [addr, end)
+	// and any mapping munmap must not remove.
+	first := as.firstEndAbove(addr)
+	last := first
+	var buf [4]VMA
+	keep := buf[:0]
 	removed := uint64(0)
-	for _, v := range as.vmas {
-		if v.End <= addr || v.Start >= end || (v.Kind != KindAnon && v.Kind != KindStack) {
-			out = append(out, v)
+	for ; last < len(as.vmas) && as.vmas[last].Start < end; last++ {
+		v := as.vmas[last]
+		if v.Kind != KindAnon && v.Kind != KindStack {
+			keep = append(keep, v)
 			continue
 		}
-		// Keep the pieces outside [addr, end).
 		if v.Start < addr {
-			out = append(out, VMA{Start: v.Start, End: addr, Kind: v.Kind, Name: v.Name, Node: v.Node})
+			keep = append(keep, VMA{Start: v.Start, End: addr, Kind: v.Kind, Name: v.Name, Node: v.Node})
 		}
 		if v.End > end {
-			out = append(out, VMA{Start: end, End: v.End, Kind: v.Kind, Name: v.Name, Node: v.Node})
+			keep = append(keep, VMA{Start: end, End: v.End, Kind: v.Kind, Name: v.Name, Node: v.Node})
 		}
-		lo, hi := maxU64(v.Start, addr), minU64(v.End, end)
-		removed += hi - lo
+		removed += minU64(v.End, end) - maxU64(v.Start, addr)
 	}
 	if removed == 0 {
 		return fmt.Errorf("vm: munmap(0x%x, %d): no mapping there", addr, length)
 	}
-	as.vmas = out
+	as.vmas = slices.Replace(as.vmas, first, last, keep...)
 	// Released pages in the range were credited by ReleasePages already.
 	as.commitCredit(removed - as.releasedBytesIn(addr, end))
 	as.dropPages(addr, end)
@@ -848,8 +870,8 @@ func (as *AddressSpace) MunmapReuse(t *sim.Thread, addr, length uint64) (bool, e
 	// parker's node for a region that was never touched at all.
 	node := int8(0)
 	if as.numa() {
-		if n, ok := as.pageNode[addr/PageSize]; ok {
-			node = n
+		if pg, ok := as.pages[addr/PageSize]; ok {
+			node = pg.node
 		} else {
 			node = int8(t.Node())
 		}
@@ -960,16 +982,14 @@ func (as *AddressSpace) ReleasePages(t *sim.Thread, addr, length uint64) uint64 
 	released := uint64(0)
 	for p := lo; p < hi; p += PageSize {
 		idx := p / PageSize
-		if _, ok := as.pages[idx]; !ok {
+		// The frame goes with its lines and home: a refault starts cold and
+		// re-homes it.
+		if !as.dropPage(idx) {
 			continue // never touched or already released: nothing resident
 		}
-		delete(as.pages, idx)
-		delete(as.pageNode, idx) // the frame is gone: a refault re-homes it
 		as.released[idx] = true
 		released += PageSize
 	}
-	as.cache.DropRange(as.ID, lo, hi-lo)
-	as.lastPage = nil
 	as.stats.PagesReleased += released / PageSize
 	// The kernel may hand the frames to someone else: they stop counting
 	// against the commit limit until a touch re-commits them.
@@ -977,18 +997,42 @@ func (as *AddressSpace) ReleasePages(t *sim.Thread, addr, length uint64) uint64 
 	return released
 }
 
-// dropPages discards backing pages and cache lines for [lo, hi).
+// dropPages discards the pages of [lo, hi), their cache lines with them.
 func (as *AddressSpace) dropPages(lo, hi uint64) {
-	if hi <= lo {
-		return
-	}
 	for p := pageFloor(lo); p < hi; p += PageSize {
-		delete(as.pages, p/PageSize)
+		as.dropPage(p / PageSize)
 		delete(as.released, p/PageSize)
-		delete(as.pageNode, p/PageSize)
 	}
-	as.cache.DropRange(as.ID, lo, hi-lo)
-	as.lastPage = nil
+}
+
+// dropPage makes page idx non-resident, moving its entry to the spare list.
+// It reports whether the page was resident.
+func (as *AddressSpace) dropPage(idx uint64) bool {
+	pg, ok := as.pages[idx]
+	if !ok {
+		return false
+	}
+	delete(as.pages, idx)
+	as.spare = append(as.spare, pg)
+	if as.lastPage == pg {
+		as.lastPage = nil
+	}
+	return true
+}
+
+// newPage returns a zeroed page homed on node with every line invalid,
+// reusing a spare entry when there is one.
+func (as *AddressSpace) newPage(node int8) *page {
+	n := len(as.spare)
+	if n == 0 {
+		return &page{data: make([]byte, PageSize), node: node}
+	}
+	pg := as.spare[n-1]
+	as.spare = as.spare[:n-1]
+	clear(pg.data)
+	pg.lines.Reset()
+	pg.node = node
+	return pg
 }
 
 // AllocStack reserves a stack VMA for a new thread and touches its top
@@ -1009,8 +1053,8 @@ func (as *AddressSpace) AllocStack(t *sim.Thread, name string) (uint64, error) {
 	return top, nil
 }
 
-// page returns the backing page for addr, faulting it in on first touch.
-func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) []byte {
+// page returns the page entry for addr, faulting it in on first touch.
+func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 	idx := addr / PageSize
 	if as.lastPage != nil && as.lastIdx == idx {
 		return as.lastPage
@@ -1072,11 +1116,8 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) []byte {
 			t.Unlock(as.mmLock)
 		}
 		as.stats.MinorFaults++
-		p = make([]byte, PageSize)
+		p = as.newPage(int8(home))
 		as.pages[idx] = p
-		if as.numa() {
-			as.pageNode[idx] = int8(home)
-		}
 	}
 	as.lastIdx, as.lastPage = idx, p
 	return p
@@ -1087,8 +1128,8 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) []byte {
 // memory-served miss travels from the page's home node, a cache-to-cache
 // transfer from the supplying CPU's node. Hits and upgrades stay at the
 // local rate — no data moved.
-func (as *AddressSpace) charge(t *sim.Thread, addr uint64, write bool) {
-	c, fill, from := as.cache.AccessFill(t.CPU(), as.cache.Key(as.ID, addr), write)
+func (as *AddressSpace) charge(t *sim.Thread, pg *page, addr uint64, write bool) {
+	c, fill, from := as.cache.AccessLine(t.CPU(), &pg.lines, int(addr%PageSize>>as.lineShift), write)
 	switch fill {
 	case cache.FillNone:
 		as.stats.FillLocal++
@@ -1096,10 +1137,8 @@ func (as *AddressSpace) charge(t *sim.Thread, addr uint64, write bool) {
 	case cache.FillMemory:
 		as.stats.FillRemote++
 		as.stats.FillRemoteCycles += uint64(c)
-		if as.numaOn {
-			if home, ok := as.pageNode[addr/PageSize]; ok && int(home) != t.Node() {
-				as.chargeRemote(t, c, false)
-			}
+		if as.numaOn && int(pg.node) != t.Node() {
+			as.chargeRemote(t, c, false)
 		}
 	case cache.FillCache:
 		as.stats.FillC2C++
@@ -1120,26 +1159,26 @@ func (as *AddressSpace) LineSize() uint64 { return as.cache.LineSize() }
 // Read32 loads a little-endian uint32.
 func (as *AddressSpace) Read32(t *sim.Thread, addr uint64) uint32 {
 	p := as.page(t, addr, "read32")
-	as.charge(t, addr, false)
+	as.charge(t, p, addr, false)
 	o := addr % PageSize
 	if o+4 > PageSize {
 		panic(Fault{Space: as.ID, Addr: addr, Op: "read32-split"})
 	}
-	return uint32(p[o]) | uint32(p[o+1])<<8 | uint32(p[o+2])<<16 | uint32(p[o+3])<<24
+	return uint32(p.data[o]) | uint32(p.data[o+1])<<8 | uint32(p.data[o+2])<<16 | uint32(p.data[o+3])<<24
 }
 
 // Write32 stores a little-endian uint32.
 func (as *AddressSpace) Write32(t *sim.Thread, addr uint64, v uint32) {
 	p := as.page(t, addr, "write32")
-	as.charge(t, addr, true)
+	as.charge(t, p, addr, true)
 	o := addr % PageSize
 	if o+4 > PageSize {
 		panic(Fault{Space: as.ID, Addr: addr, Op: "write32-split"})
 	}
-	p[o] = byte(v)
-	p[o+1] = byte(v >> 8)
-	p[o+2] = byte(v >> 16)
-	p[o+3] = byte(v >> 24)
+	p.data[o] = byte(v)
+	p.data[o+1] = byte(v >> 8)
+	p.data[o+2] = byte(v >> 16)
+	p.data[o+3] = byte(v >> 24)
 }
 
 // Read64 loads a little-endian uint64.
@@ -1158,15 +1197,15 @@ func (as *AddressSpace) Write64(t *sim.Thread, addr uint64, v uint64) {
 // Write8 stores one byte (benchmark 3's write primitive).
 func (as *AddressSpace) Write8(t *sim.Thread, addr uint64, v byte) {
 	p := as.page(t, addr, "write8")
-	as.charge(t, addr, true)
-	p[addr%PageSize] = v
+	as.charge(t, p, addr, true)
+	p.data[addr%PageSize] = v
 }
 
 // Read8 loads one byte.
 func (as *AddressSpace) Read8(t *sim.Thread, addr uint64) byte {
 	p := as.page(t, addr, "read8")
-	as.charge(t, addr, false)
-	return p[addr%PageSize]
+	as.charge(t, p, addr, false)
+	return p.data[addr%PageSize]
 }
 
 // Peek32 reads a little-endian uint32 without charging simulated costs or
@@ -1181,7 +1220,7 @@ func (as *AddressSpace) Peek32(addr uint64) uint32 {
 	if o+4 > PageSize {
 		return 0
 	}
-	return uint32(p[o]) | uint32(p[o+1])<<8 | uint32(p[o+2])<<16 | uint32(p[o+3])<<24
+	return uint32(p.data[o]) | uint32(p.data[o+1])<<8 | uint32(p.data[o+2])<<16 | uint32(p.data[o+3])<<24
 }
 
 // Peek8 reads one byte without charges or faults.
@@ -1190,7 +1229,7 @@ func (as *AddressSpace) Peek8(addr uint64) byte {
 	if !ok {
 		return 0
 	}
-	return p[addr%PageSize]
+	return p.data[addr%PageSize]
 }
 
 // Touch faults in the page containing addr without a data access charge
