@@ -278,7 +278,7 @@ func torture(cfg tortureConfig) (tortureResult, error) {
 			checkErr = al.Check()
 		}
 		st := al.Stats()
-		res.peakCommitted = st.PeakCommitted
+		res.peakCommitted = st.VM.PeakCommitted
 		res.emergencies = st.EmergencyScavenges
 		res.retries = st.OOMRetries
 		res.fails = st.OOMFails

@@ -81,7 +81,7 @@ func main() {
 		for i, s := range res.PerThread {
 			tab.AddRow(i+1, s.Mean, s.Stddev, s.Min, s.Max)
 		}
-		tab.Note("arenas at end of run 0: %d", res.Runs[0].ArenaCount)
+		tab.Note("arenas at end of run 0: %d", res.Runs[0].AllocStats.ArenaCount)
 	case "2":
 		res, err := bench.RunBench2(bench.B2Config{
 			Profile: prof, Threads: *threads, Rounds: *rounds, Objects: *objects,
@@ -93,7 +93,8 @@ func main() {
 		tab = &bench.Table{ID: "bench2", Title: fmt.Sprintf("%d threads x %d rounds, %d objects of %dB on %s", *threads, *rounds, *objects, *size, prof.Name),
 			Columns: []string{"run", "minor faults", "arenas", "peak heap(KB)"}}
 		for i, r := range res.Runs {
-			tab.AddRow(i+1, r.MinorFaults, r.ArenaCount, r.HeapBytes/1024)
+			st := r.AllocStats
+			tab.AddRow(i+1, st.VM.MinorFaults, st.ArenaCount, st.VM.PeakMapped/1024)
 		}
 		tab.Note("predictor mpf = %.1f; measured min %.0f avg %.1f max %.0f",
 			res.Predicted, res.Faults.Min, res.Faults.Mean, res.Faults.Max)
@@ -129,12 +130,13 @@ func main() {
 			tab.Columns = append(tab.Columns, "malloc p50(cyc)", "p99(cyc)", "p99.9(cyc)")
 		}
 		for i, r := range res.Runs {
+			st := r.AllocStats
 			if *telemetryPath != "" {
 				h := r.Telemetry.Hist(telemetry.OpMalloc)
-				tab.AddRow(i+1, r.Throughput, r.WallSeconds, r.MinorFaults, r.ArenaCount,
+				tab.AddRow(i+1, r.Throughput, r.WallSeconds, st.VM.MinorFaults, st.ArenaCount,
 					h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999))
 			} else {
-				tab.AddRow(i+1, r.Throughput, r.WallSeconds, r.MinorFaults, r.ArenaCount)
+				tab.AddRow(i+1, r.Throughput, r.WallSeconds, st.VM.MinorFaults, st.ArenaCount)
 			}
 		}
 		if *telemetryPath != "" {

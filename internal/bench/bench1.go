@@ -30,11 +30,9 @@ type B1Config struct {
 // B1Run is one benchmark execution: per-worker elapsed seconds.
 type B1Run struct {
 	PerThread []float64
-	// ArenaCount is the number of arenas in instance 0 at the end.
-	ArenaCount int
 	// AllocStats is instance 0's allocator statistics at the end, so
-	// experiments can report trylock failures, cross-arena frees and cache
-	// hit rates alongside elapsed time.
+	// experiments can report arena counts, trylock failures, cross-arena
+	// frees and cache hit rates alongside elapsed time.
 	AllocStats malloc.Stats
 }
 
@@ -124,7 +122,6 @@ func runBench1Once(cfg B1Config, seed uint64) (B1Run, error) {
 		for _, wk := range workers {
 			main.Join(wk)
 		}
-		out.ArenaCount = len(insts[0].Alloc.Arenas())
 		out.AllocStats = insts[0].Alloc.Stats()
 	})
 	return out, err

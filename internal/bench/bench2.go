@@ -54,11 +54,9 @@ func DefaultB2(p Profile) B2Config {
 
 // B2Run is one execution's observables.
 type B2Run struct {
-	MinorFaults uint64
-	ArenaCount  int
-	HeapBytes   uint64 // peak mapped bytes
-	// AllocStats is the allocator's statistics at the end, so experiments
-	// can report arena-lock acquisitions and depot traffic per run.
+	// AllocStats is the allocator's statistics at the end. The measured
+	// minor faults and peak mapped bytes are AllocStats.VM's; experiments
+	// also read arena counts, arena-lock acquisitions and depot traffic.
 	AllocStats malloc.Stats
 }
 
@@ -91,7 +89,7 @@ func RunBench2(cfg B2Config) (B2Result, error) {
 	}
 	var xs []float64
 	for _, r := range res.Runs {
-		xs = append(xs, float64(r.MinorFaults))
+		xs = append(xs, float64(r.AllocStats.VM.MinorFaults))
 	}
 	res.Faults = stats.Summarize(xs)
 	return res, nil
@@ -197,10 +195,6 @@ func runBench2Once(cfg B2Config, seed uint64) (B2Run, error) {
 			main.Join(h)
 		}
 
-		st := as.Stats()
-		out.MinorFaults = st.MinorFaults
-		out.ArenaCount = len(al.Arenas())
-		out.HeapBytes = st.PeakMapped
 		out.AllocStats = al.Stats()
 	})
 	return out, err

@@ -6,7 +6,6 @@ import (
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/stats"
-	"mtmalloc/internal/vm"
 )
 
 // B3Config parameterizes benchmark 3, the false-sharing test: Threads (at
@@ -169,7 +168,6 @@ func runBench3Once(cfg B3Config, seed uint64) (B3Run, error) {
 			main.Join(wk)
 		}
 		out.WallSeconds = w.Seconds(main.Now() - start)
-		_ = vm.PageSize
 	})
 	return out, err
 }

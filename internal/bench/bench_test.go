@@ -186,8 +186,8 @@ func TestFigure5SingleThreadMatchesPredictor(t *testing.T) {
 		if math.Abs(res.Faults.Mean-res.Predicted)/res.Predicted > 0.10 {
 			t.Errorf("rounds=%d: faults %.0f vs predictor %.0f", rounds, res.Faults.Mean, res.Predicted)
 		}
-		if res.Runs[0].ArenaCount != 1 {
-			t.Errorf("single thread grew %d arenas", res.Runs[0].ArenaCount)
+		if res.Runs[0].AllocStats.ArenaCount != 1 {
+			t.Errorf("single thread grew %d arenas", res.Runs[0].AllocStats.ArenaCount)
 		}
 	}
 }
@@ -471,8 +471,8 @@ func TestReuseCutsSyscallsAndFaultsOnLarson(t *testing.T) {
 		if err != nil {
 			t.Fatalf("larson (reuse cap %d): %v", reuseCap, err)
 		}
-		r := res.Runs[0]
-		return r.VMStats.MmapCalls + r.VMStats.MunmapCalls, r.MinorFaults
+		vs := res.Runs[0].AllocStats.VM
+		return vs.MmapCalls + vs.MunmapCalls, vs.MinorFaults
 	}
 	sysOff, faultsOff := run(-1)
 	sysOn, faultsOn := run(4 << 20)
@@ -573,11 +573,10 @@ func TestBinnedReleaseFootprintDecay(t *testing.T) {
 		t.Errorf("binned decay %.1f%% vs top-trim-only %.1f%%: the binned stage is not reaching the bins",
 			binned.DecayPercent, trimOnly.DecayPercent)
 	}
-	if binned.VMStats.Refaults == 0 {
+	if bvs := binned.AllocStats.VM; bvs.Refaults == 0 {
 		t.Error("post-idle burst re-carved released interiors without refaults")
-	}
-	if binned.VMStats.Refaults > binned.VMStats.PagesReleased {
-		t.Errorf("refaults %d > pages released %d", binned.VMStats.Refaults, binned.VMStats.PagesReleased)
+	} else if bvs.Refaults > bvs.PagesReleased {
+		t.Errorf("refaults %d > pages released %d", bvs.Refaults, bvs.PagesReleased)
 	}
 	if len(binned.PhaseThroughput) > 1 && len(trimOnly.PhaseThroughput) > 1 {
 		ratio := binned.PhaseThroughput[1] / trimOnly.PhaseThroughput[1]
@@ -633,8 +632,8 @@ func TestBench2RoundIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idle.Runs[0].MinorFaults != base.Runs[0].MinorFaults {
-		t.Errorf("round idle changed faults: %d vs %d", idle.Runs[0].MinorFaults, base.Runs[0].MinorFaults)
+	if fi, fb := idle.Runs[0].AllocStats.VM.MinorFaults, base.Runs[0].AllocStats.VM.MinorFaults; fi != fb {
+		t.Errorf("round idle changed faults: %d vs %d", fi, fb)
 	}
 }
 

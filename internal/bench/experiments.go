@@ -269,8 +269,8 @@ func roundsSweep(o Options, prof Profile, threads int, rounds []int, runs int, i
 		}
 		arenas := 0
 		for _, rr := range res.Runs {
-			if rr.ArenaCount > arenas {
-				arenas = rr.ArenaCount
+			if rr.AllocStats.ArenaCount > arenas {
+				arenas = rr.AllocStats.ArenaCount
 			}
 		}
 		t.AddRow(r, res.Faults.Min, res.Faults.Mean, res.Faults.Max, res.Predicted,
@@ -505,9 +505,10 @@ func ExpMidTier(o Options) (*Table, error) {
 				lockAcqs += float64(r.AllocStats.ArenaLockAcqs) / nr
 			}
 			for _, r := range lar.Runs {
-				syscalls += float64(r.VMStats.MmapCalls+r.VMStats.MunmapCalls) / nr
-				lfaults += float64(r.MinorFaults) / nr
-				reuses += float64(r.AllocStats.MmapReuses) / nr
+				vs := r.AllocStats.VM
+				syscalls += float64(vs.MmapCalls+vs.MunmapCalls) / nr
+				lfaults += float64(vs.MinorFaults) / nr
+				reuses += float64(vs.MmapReuses) / nr
 			}
 			hitRate := "n/a"
 			if attempts > 0 {

@@ -6,7 +6,6 @@ import (
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/stats"
-	"mtmalloc/internal/vm"
 )
 
 // FootprintConfig parameterizes experiment D3, the phase-shift footprint
@@ -62,7 +61,6 @@ type FootprintRun struct {
 	PeakFootprint uint64
 	IdleTrough    uint64
 	DecayPercent  float64
-	VMStats       vm.Stats
 	AllocStats    malloc.Stats
 }
 
@@ -269,7 +267,6 @@ func RunFootprint(cfg FootprintConfig) (FootprintRun, error) {
 				out.DecayPercent = 100 * (1 - float64(out.IdleTrough)/float64(out.PeakFootprint))
 			}
 		}
-		out.VMStats = as.Stats()
 		out.AllocStats = al.Stats()
 	})
 	return out, err
@@ -339,7 +336,7 @@ func ExpFootprint(o Options) (*Table, error) {
 		}
 		t.Note("%s: burst throughput %s ops/s; idle decay %s; refaults %d; scavenge epochs %d; bin releases %d (%d KB)",
 			r.name, fmtThroughputs(r.run.PhaseThroughput), decay,
-			r.run.VMStats.Refaults, r.run.AllocStats.ScavengeEpochs,
+			r.run.AllocStats.VM.Refaults, r.run.AllocStats.ScavengeEpochs,
 			r.run.AllocStats.Heap.BinReleases, r.run.AllocStats.ScavengeBinBytes/1024)
 	}
 	// The acceptance comparisons: post-idle burst throughput with reclamation

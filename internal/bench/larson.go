@@ -96,14 +96,11 @@ func DefaultLarson(p Profile) LarsonConfig {
 type LarsonRun struct {
 	WallSeconds float64
 	Throughput  float64 // replace ops per simulated second, all threads
-	MinorFaults uint64
-	ArenaCount  int
 	// OOMSkips counts slot refills abandoned because even the emergency
 	// cascade could not free enough memory (TolerateOOM runs only).
 	OOMSkips uint64
-	// VMStats and AllocStats expose the run's syscall, fault and reuse
-	// counters for the above-threshold (mmap-path) variants.
-	VMStats    vm.Stats
+	// AllocStats is the allocator's statistics at the end; its VM field
+	// holds the run's syscall, fault and reuse counters.
 	AllocStats malloc.Stats
 	// Telemetry holds the run's recorder when LarsonConfig.Telemetry asked
 	// for one; nil otherwise.
@@ -206,9 +203,6 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 			}
 			out.WallSeconds = wall
 			out.Throughput = float64(cfg.Ops*workers) / wall
-			out.VMStats = as.Stats()
-			out.MinorFaults = out.VMStats.MinorFaults
-			out.ArenaCount = len(al.Arenas())
 			out.AllocStats = al.Stats()
 			return
 		}
@@ -296,9 +290,6 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 		}
 		out.WallSeconds = wall
 		out.Throughput = float64(cfg.Ops*cfg.Threads) / wall
-		out.VMStats = as.Stats()
-		out.MinorFaults = out.VMStats.MinorFaults
-		out.ArenaCount = len(al.Arenas())
 		out.AllocStats = al.Stats()
 		out.OOMSkips = oomSkips
 	})

@@ -80,7 +80,7 @@ func ExpLocality(o Options) (*Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("D4 %s %s bench2 %dt: %w", prof.Name, mode, n, err)
 				}
-				b2s := b2.Runs[0].AllocStats
+				b2s := b2.Runs[0].AllocStats.VM
 
 				lcfg := LarsonConfig{Profile: prof, Threads: n, Slots: 32,
 					MinSize: 132 * 1024, MaxSize: 148 * 1024, Ops: larOps, Runs: 1,
@@ -90,13 +90,12 @@ func ExpLocality(o Options) (*Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("D4 %s %s larson %dt: %w", prof.Name, mode, n, err)
 				}
-				ls := lar.Runs[0].AllocStats
-				lvs := lar.Runs[0].VMStats
-				larRemote[key{nodes, n, blind}] = float64(ls.RemoteAccesses)
+				lvs := lar.Runs[0].AllocStats.VM
+				larRemote[key{nodes, n, blind}] = float64(lvs.RemoteAccesses)
 
 				t.AddRow(prof.Name, mode, n,
-					b2s.RemoteAccesses, b2s.RemoteFrees, b2.Runs[0].MinorFaults,
-					ls.RemoteAccesses, fmt.Sprintf("%.1f", float64(ls.RemoteAccessCycles)/1000),
+					b2s.RemoteAccesses, b2.Runs[0].AllocStats.RemoteFrees, b2s.MinorFaults,
+					lvs.RemoteAccesses, fmt.Sprintf("%.1f", float64(lvs.RemoteAccessCycles)/1000),
 					lvs.ReuseRemoteHands, fmt.Sprintf("%.0f", lar.Runs[0].Throughput))
 			}
 		}

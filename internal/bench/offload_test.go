@@ -36,9 +36,10 @@ func TestOffloadedLarsonDeterministic(t *testing.T) {
 				t.Errorf("throughput/wall differ across identical runs: %v/%v vs %v/%v",
 					a.Throughput, a.WallSeconds, b.Throughput, b.WallSeconds)
 			}
-			if a.MinorFaults != b.MinorFaults || a.ArenaCount != b.ArenaCount {
+			as, bs := a.AllocStats, b.AllocStats
+			if as.VM.MinorFaults != bs.VM.MinorFaults || as.ArenaCount != bs.ArenaCount {
 				t.Errorf("faults/arenas differ: %d/%d vs %d/%d",
-					a.MinorFaults, a.ArenaCount, b.MinorFaults, b.ArenaCount)
+					as.VM.MinorFaults, as.ArenaCount, bs.VM.MinorFaults, bs.ArenaCount)
 			}
 			if !reflect.DeepEqual(a.AllocStats, b.AllocStats) {
 				t.Errorf("allocator stats differ:\n%+v\nvs\n%+v", a.AllocStats, b.AllocStats)

@@ -77,12 +77,11 @@ type PlacementRun struct {
 	// Throughput is handoffs (objects produced, written and freed) per
 	// simulated second.
 	Throughput float64
-	// AllocStats snapshots the allocator at the end of the run: the fill-
-	// class counters (FillC2C is the coherence-transfer currency), the
-	// placement overhead counters and the usual tier stats.
+	// AllocStats snapshots the allocator at the end of the run: the vm's
+	// fill-class counters (VM.FillC2C is the coherence-transfer currency)
+	// and resident footprint, the placement overhead counters and the usual
+	// tier stats.
 	AllocStats malloc.Stats
-	// ResidentBytes is the address space's resident footprint at the end.
-	ResidentBytes uint64
 	// SharedMagazineLines is the end-of-run count of cache lines split
 	// between live magazines (zero by construction under LineAware).
 	SharedMagazineLines int
@@ -234,7 +233,6 @@ func RunPlacement(cfg PlacementConfig) (PlacementRun, error) {
 			out.Throughput = float64(consumers*cfg.ObjsPerConsumer) / out.WallSeconds
 		}
 		out.AllocStats = al.Stats()
-		out.ResidentBytes = as.Stats().ResidentBytes
 		if tc := malloc.ThreadCacheOf(al); tc != nil {
 			out.SharedMagazineLines = tc.SharedMagazineLines()
 		}
@@ -298,7 +296,7 @@ func ExpPlacement(o Options) (*Table, error) {
 				}
 				s := r.AllocStats
 				t.AddRow(string(kind), mode(aware), n, fmt.Sprintf("%.0f", r.Throughput),
-					s.FillC2C, s.FillC2CCycles, s.FillRemote, r.ResidentBytes/1024,
+					s.VM.FillC2C, s.VM.FillC2CCycles, s.VM.FillRemote, s.VM.ResidentBytes/1024,
 					s.LineQuantBytes, s.LineColorBytes, r.SharedMagazineLines)
 				seen[key{kind, aware, n}] = r
 			}
@@ -316,18 +314,19 @@ func ExpPlacement(o Options) (*Table, error) {
 	for _, kind := range kinds {
 		for _, n := range threadCounts {
 			bl, aw := seen[key{kind, false, n}], seen[key{kind, true, n}]
-			if bl.AllocStats.FillC2CCycles == 0 || bl.Throughput == 0 || bl.ResidentBytes == 0 {
+			bv, av := bl.AllocStats.VM, aw.AllocStats.VM
+			if bv.FillC2CCycles == 0 || bl.Throughput == 0 || bv.ResidentBytes == 0 {
 				continue
 			}
-			cut := 100 * (1 - float64(aw.AllocStats.FillC2CCycles)/float64(bl.AllocStats.FillC2CCycles))
+			cut := 100 * (1 - float64(av.FillC2CCycles)/float64(bv.FillC2CCycles))
 			ratio := aw.Throughput / bl.Throughput
-			res := float64(aw.ResidentBytes)/float64(bl.ResidentBytes) - 1
+			res := float64(av.ResidentBytes)/float64(bv.ResidentBytes) - 1
 			label := ""
 			if n == 2 {
 				label = " [control: 1 consumer, no false sharing possible]"
 			}
 			t.Note("%s %dt: C2C cycles %d -> %d (cut %.1f%%), throughput %.2fx blind, resident %+.1f%%, shared magazine lines %d -> %d%s",
-				kind, n, bl.AllocStats.FillC2CCycles, aw.AllocStats.FillC2CCycles, cut, ratio,
+				kind, n, bv.FillC2CCycles, av.FillC2CCycles, cut, ratio,
 				100*res, bl.SharedMagazineLines, aw.SharedMagazineLines, label)
 			if n == 2 {
 				continue
@@ -354,9 +353,9 @@ func ExpPlacement(o Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("D9 4-node %s: %w", mode(aware), err)
 		}
-		s := r.AllocStats
+		vs := r.AllocStats.VM
 		t.Note("4-node probe, threadcache 8t %s: %.0f objs/s, C2C cycles %d, remote-access cycles %d, resident %d KB",
-			mode(aware), r.Throughput, s.FillC2CCycles, s.RemoteAccessCycles, r.ResidentBytes/1024)
+			mode(aware), r.Throughput, vs.FillC2CCycles, vs.RemoteAccessCycles, vs.ResidentBytes/1024)
 	}
 
 	t.Note("workload: 1 producer allocates a %d/%d/%dB size rotation — one same-size object per consumer each round, so span-adjacent chunks go to different consumers — initializes front+back, and deals over depth-4 queues; each consumer holds a 32-object working set, re-writing every held object's front+back per arrival, and frees the oldest (cross-thread) — the paper's bench-3 pattern through real allocator placement",

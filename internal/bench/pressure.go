@@ -47,7 +47,7 @@ func ExpPressure(o Options) (*Table, error) {
 				return nil, fmt.Errorf("D6 %s %s baseline: %w", kind, wl, err)
 			}
 			br := base.Runs[0]
-			peak := br.AllocStats.PeakCommitted
+			peak := br.AllocStats.VM.PeakCommitted
 			t.AddRow(string(kind), wl, "none", peak/1024,
 				fmt.Sprintf("%.0f", br.Throughput), "1.00", 0, 0, 0, 0)
 			failedAt := 0.0

@@ -89,8 +89,8 @@ func TestReplayBench1(t *testing.T) {
 			}
 			wantu(t, "TrylockFailures", run.AllocStats.TrylockFailures, g.trylock)
 			wantu(t, "ArenaLockAcqs", run.AllocStats.ArenaLockAcqs, g.lockAcqs)
-			if run.ArenaCount != g.arenas {
-				t.Errorf("ArenaCount = %d, want %d", run.ArenaCount, g.arenas)
+			if run.AllocStats.ArenaCount != g.arenas {
+				t.Errorf("ArenaCount = %d, want %d", run.AllocStats.ArenaCount, g.arenas)
 			}
 		})
 	}
@@ -125,7 +125,7 @@ func TestReplayLarson(t *testing.T) {
 			}
 			run := res.Runs[0]
 			wantf(t, "Throughput", run.Throughput, g.throughput)
-			wantu(t, "MinorFaults", run.MinorFaults, g.faults)
+			wantu(t, "MinorFaults", run.AllocStats.VM.MinorFaults, g.faults)
 			wantu(t, "ArenaLockAcqs", run.AllocStats.ArenaLockAcqs, g.lockAcqs)
 			wantu(t, "DepotHits", run.AllocStats.DepotHits, g.depotHits)
 			wantu(t, "DepotDonates", run.AllocStats.DepotDonates, g.depotD)
@@ -171,9 +171,9 @@ func TestReplayD4Locality(t *testing.T) {
 			}
 			run := res.Runs[0]
 			wantf(t, "Throughput", run.Throughput, g.throughput)
-			wantu(t, "RemoteAccesses", run.AllocStats.RemoteAccesses, g.remote)
+			wantu(t, "RemoteAccesses", run.AllocStats.VM.RemoteAccesses, g.remote)
 			wantu(t, "RemoteFrees", run.AllocStats.RemoteFrees, g.remFrees)
-			wantu(t, "MinorFaults", run.MinorFaults, g.faults)
+			wantu(t, "MinorFaults", run.AllocStats.VM.MinorFaults, g.faults)
 		})
 	}
 }
@@ -200,7 +200,7 @@ func TestReplayD3Scavenge(t *testing.T) {
 	wantf(t, "Throughput", run.Throughput, "0x1.707b0c236991dp+17")
 	wantu(t, "ScavengeEpochs", run.AllocStats.ScavengeEpochs, 2)
 	wantu(t, "ScavengeBytes", run.AllocStats.ScavengeBytes, 130224)
-	wantu(t, "PagesReleased", run.AllocStats.PagesReleased, 0)
+	wantu(t, "PagesReleased", run.AllocStats.VM.PagesReleased, 0)
 }
 
 // TestReplayLockFreeScavenge replays the D3 idle-decay shape on the
@@ -229,7 +229,7 @@ func TestReplayLockFreeScavenge(t *testing.T) {
 	wantf(t, "Throughput", run.Throughput, "0x1.78d6ca307f182p+17")
 	wantu(t, "ScavengeEpochs", s.ScavengeEpochs, 1)
 	wantu(t, "ScavengeBytes", s.ScavengeBytes, 129520)
-	wantu(t, "PagesReleased", s.PagesReleased, 0)
+	wantu(t, "PagesReleased", s.VM.PagesReleased, 0)
 	wantu(t, "CASAttempts", s.CASAttempts, 440)
 	wantu(t, "CASFails", s.CASFails, 36)
 }
@@ -305,7 +305,7 @@ func TestReplayD6Pressure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			peak := base.Runs[0].AllocStats.PeakCommitted
+			peak := base.Runs[0].AllocStats.VM.PeakCommitted
 			wantu(t, "PeakCommitted", peak, g.peak)
 			cfg.MemLimit = uint64(g.ratio * float64(peak))
 			cfg.TolerateOOM = true
@@ -320,7 +320,7 @@ func TestReplayD6Pressure(t *testing.T) {
 			wantu(t, "OOMRetries", s.OOMRetries, g.retries)
 			wantu(t, "OOMFails", s.OOMFails, g.fails)
 			wantu(t, "OOMSkips", run.OOMSkips, g.skips)
-			wantu(t, "CommitFails", s.CommitFails, g.commitFails)
+			wantu(t, "CommitFails", s.VM.CommitFails, g.commitFails)
 		})
 	}
 }
@@ -366,9 +366,9 @@ func TestReplayD9Placement(t *testing.T) {
 			}
 			s := r.AllocStats
 			wantf(t, "Throughput", r.Throughput, g.throughput)
-			wantu(t, "FillC2C", s.FillC2C, g.c2c)
-			wantu(t, "FillC2CCycles", s.FillC2CCycles, g.c2cCycles)
-			wantu(t, "ResidentBytes", r.ResidentBytes, g.resident)
+			wantu(t, "FillC2C", s.VM.FillC2C, g.c2c)
+			wantu(t, "FillC2CCycles", s.VM.FillC2CCycles, g.c2cCycles)
+			wantu(t, "ResidentBytes", s.VM.ResidentBytes, g.resident)
 			wantu(t, "LineQuantBytes", s.LineQuantBytes, g.quant)
 			wantu(t, "LineColorBytes", s.LineColorBytes, g.color)
 			wantu(t, "SharedMagazineLines", uint64(r.SharedMagazineLines), uint64(g.sharedLines))
@@ -410,6 +410,52 @@ func TestReplayD10Offload(t *testing.T) {
 			wantu(t, "SvcDrains", s.SvcDrains, g.drains)
 			wantu(t, "SvcFallbacks", s.SvcFallbacks, g.fallbacks)
 			wantu(t, "SvcEpochs", s.SvcEpochs, g.epochs)
+		})
+	}
+}
+
+// TestReplayBench2 replays an F8-shaped benchmark-2 run (quad Xeon, seven
+// chains) on ptmalloc and the thread cache: the paper's fault benchmark,
+// judged on minor page faults. Two runs per row pin the per-run seed
+// stride as well as the counters.
+func TestReplayBench2(t *testing.T) {
+	type runGolden struct {
+		faults, peakMapped, lockAcqs uint64
+		arenas                       int
+	}
+	goldens := []struct {
+		kind malloc.Kind
+		runs [2]runGolden
+	}{
+		{malloc.KindPTMalloc, [2]runGolden{{446, 5189632, 55679, 14}, {454, 5189632, 55941, 14}}},
+		{malloc.KindThreadCache, [2]runGolden{{219, 3555328, 876, 1}, {219, 3555328, 876, 1}}},
+	}
+	for _, g := range goldens {
+		g := g
+		t.Run(string(g.kind), func(t *testing.T) {
+			cfg := DefaultB2(QuadXeon500())
+			cfg.Threads = 7
+			cfg.Rounds = 3
+			cfg.Objects = 2000
+			cfg.Runs = 2
+			cfg.Allocator = g.kind
+			res, err := RunBench2(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Runs) != len(g.runs) {
+				t.Fatalf("%d runs, want %d", len(res.Runs), len(g.runs))
+			}
+			for i, run := range res.Runs {
+				w := g.runs[i]
+				s := run.AllocStats
+				wantu(t, "MinorFaults", s.VM.MinorFaults, w.faults)
+				wantu(t, "PeakMapped", s.VM.PeakMapped, w.peakMapped)
+				wantu(t, "ArenaLockAcqs", s.ArenaLockAcqs, w.lockAcqs)
+				if s.ArenaCount != w.arenas {
+					t.Errorf("ArenaCount = %d, want %d", s.ArenaCount, w.arenas)
+				}
+			}
 		})
 	}
 }

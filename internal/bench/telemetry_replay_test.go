@@ -42,7 +42,7 @@ func TestTelemetryLeavesLarsonGoldenIdentical(t *testing.T) {
 	// Goldens from TestReplayLarson (threadcache row), captured with
 	// telemetry off.
 	wantf(t, "Throughput", run.Throughput, "0x1.c9fdaee43f3d4p+21")
-	wantu(t, "MinorFaults", run.MinorFaults, 153)
+	wantu(t, "MinorFaults", run.AllocStats.VM.MinorFaults, 153)
 	wantu(t, "ArenaLockAcqs", run.AllocStats.ArenaLockAcqs, 306)
 	wantu(t, "DepotHits", run.AllocStats.DepotHits, 67)
 	wantu(t, "DepotDonates", run.AllocStats.DepotDonates, 145)
@@ -118,7 +118,7 @@ func TestTelemetryLeavesScavengeGoldenIdentical(t *testing.T) {
 	wantf(t, "Throughput", run.Throughput, "0x1.707b0c236991dp+17")
 	wantu(t, "ScavengeEpochs", run.AllocStats.ScavengeEpochs, 2)
 	wantu(t, "ScavengeBytes", run.AllocStats.ScavengeBytes, 130224)
-	wantu(t, "PagesReleased", run.AllocStats.PagesReleased, 0)
+	wantu(t, "PagesReleased", run.AllocStats.VM.PagesReleased, 0)
 	if run.Telemetry.EventCount() == 0 {
 		t.Error("no trace events from a phased scavenging run")
 	}

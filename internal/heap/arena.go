@@ -63,18 +63,26 @@ type Stats struct {
 // summing path the allocator-level Stats aggregation uses: a counter added
 // to this struct is summed automatically, instead of being silently dropped
 // from a hand-written field list (which is exactly what happened to
-// BinInserts/BinRemoves before this existed). Every field must be a uint64
-// counter; Add panics otherwise, so a field of another type cannot slip in
-// unsummed.
-func (s *Stats) Add(o Stats) {
-	sv := reflect.ValueOf(s).Elem()
-	ov := reflect.ValueOf(o)
-	for i := 0; i < sv.NumField(); i++ {
-		f := sv.Field(i)
-		if f.Kind() != reflect.Uint64 {
-			panic(fmt.Sprintf("heap: Stats field %s is not a uint64 counter; teach Add how to sum it", sv.Type().Field(i).Name))
+// BinInserts/BinRemoves before this existed).
+func (s *Stats) Add(o Stats) { addFields(s, o) }
+
+// addFields adds every field of src into dst. Fields must be unsigned or
+// signed integers (counters, gauges, sim.Time cycle totals); any other kind
+// panics, so a field of a type the walk cannot sum cannot slip in unsummed.
+func addFields[T any](dst *T, src T) {
+	dv := reflect.ValueOf(dst).Elem()
+	sv := reflect.ValueOf(src)
+	for i := 0; i < dv.NumField(); i++ {
+		f := dv.Field(i)
+		switch f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + sv.Field(i).Uint())
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + sv.Field(i).Int())
+		default:
+			panic(fmt.Sprintf("heap: %s field %s is not an integer counter; teach addFields how to sum it",
+				dv.Type().Name(), dv.Type().Field(i).Name))
 		}
-		f.SetUint(f.Uint() + ov.Field(i).Uint())
 	}
 }
 

@@ -59,6 +59,11 @@ type BuddyStats struct {
 	GrowLockAcqs uint64
 }
 
+// Add accumulates o into s field by field, through the same reflection walk
+// as Stats.Add, so the per-node sums of a sharded backend carry every
+// counter, bitmap traffic included.
+func (s *BuddyStats) Add(o BuddyStats) { addFields(s, o) }
+
 // buddyZone is one mapped region: a metadata prefix holding the packed
 // bitmaps followed by the data pages the bitmaps describe.
 type buddyZone struct {

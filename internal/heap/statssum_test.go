@@ -34,6 +34,38 @@ func TestStatsAddSumsEveryField(t *testing.T) {
 	}
 }
 
+// TestBuddyStatsAddSumsEveryField is the same no-silent-drop check for
+// BuddyStats, whose fields mix uint64 counters, an int gauge and a sim.Time
+// cycle total: Add must sum every one of them.
+func TestBuddyStatsAddSumsEveryField(t *testing.T) {
+	var a, b BuddyStats
+	av := reflect.ValueOf(&a).Elem()
+	bv := reflect.ValueOf(&b).Elem()
+	set := func(f reflect.Value, v int) {
+		if f.Kind() == reflect.Uint64 {
+			f.SetUint(uint64(v))
+		} else {
+			f.SetInt(int64(v))
+		}
+	}
+	get := func(f reflect.Value) int64 {
+		if f.Kind() == reflect.Uint64 {
+			return int64(f.Uint())
+		}
+		return f.Int()
+	}
+	for i := 0; i < av.NumField(); i++ {
+		set(av.Field(i), i+1)
+		set(bv.Field(i), 1000*(i+1))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := get(av.Field(i)), int64(1001*(i+1)); got != want {
+			t.Errorf("field %s = %d after Add, want %d", av.Type().Field(i).Name, got, want)
+		}
+	}
+}
+
 // TestNewSubOnNodeBindsArena: a node-bound sub-arena records its home node
 // and maps its segments there — including extension segments — so every
 // page it ever faults is homed on that node no matter who touches it.

@@ -1,6 +1,8 @@
 package malloc
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"mtmalloc/internal/heap"
@@ -38,8 +40,8 @@ func TestLockFreeBatchAccounting(t *testing.T) {
 		if st.CachedChunks != 3 {
 			t.Errorf("CachedChunks = %d, want 3 (batch 4 minus the user chunk)", st.CachedChunks)
 		}
-		if st.BuddyAllocs != 1 {
-			t.Errorf("BuddyAllocs = %d, want 1 (one span carved)", st.BuddyAllocs)
+		if st.Buddy.Allocs != 1 {
+			t.Errorf("Buddy.Allocs = %d, want 1 (one span carved)", st.Buddy.Allocs)
 		}
 		if st.ArenaLockAcqs != 0 || st.DepotLockAcqs != 0 {
 			t.Errorf("lock acqs = %d arena / %d depot, want 0/0", st.ArenaLockAcqs, st.DepotLockAcqs)
@@ -317,5 +319,73 @@ func TestLockFreeScavengeDuringChurn(t *testing.T) {
 	}
 	if st.DepotLockAcqs != 0 {
 		t.Errorf("DepotLockAcqs = %d, want 0", st.DepotLockAcqs)
+	}
+}
+
+// TestLockFreeBuddyStatsSumEveryNode: on a 2-node machine Stats().Buddy is
+// the field-by-field sum of every node buddy's own counters, bitmap traffic
+// included (a hand-written sum once dropped BitmapReads/BitmapWrites).
+func TestLockFreeBuddyStatsSumEveryNode(t *testing.T) {
+	m, as := newNUMAWorld(4, 2, 29)
+	err := m.Run(func(main *sim.Thread) {
+		al, err := newThreadCache(main, "lockfree", as, heap.DefaultParams(), DefaultCostParams(), design{lockFree: true})
+		if err != nil {
+			t.Errorf("new lockfree: %v", err)
+			return
+		}
+		var ws []*sim.Thread
+		for i := 0; i < 4; i++ {
+			ws = append(ws, main.Spawn(fmt.Sprintf("w%d", i), func(w *sim.Thread) {
+				al.AttachThread(w)
+				defer al.DetachThread(w)
+				settle(w)
+				var ps []uint64
+				for j := 0; j < 200; j++ {
+					p, err := al.Malloc(w, uint32(16+16*(j%8)))
+					if err != nil {
+						t.Errorf("Malloc: %v", err)
+						return
+					}
+					ps = append(ps, p)
+				}
+				for _, p := range ps {
+					if err := al.Free(w, p); err != nil {
+						t.Errorf("Free: %v", err)
+						return
+					}
+				}
+			}))
+		}
+		for _, w := range ws {
+			main.Join(w)
+		}
+		var want heap.BuddyStats
+		wv := reflect.ValueOf(&want).Elem()
+		for _, nd := range al.lf.nodes {
+			ns := nd.buddy.Stats()
+			if ns.Allocs == 0 {
+				t.Errorf("node %d buddy served no allocations; the sum is not exercised", nd.node)
+			}
+			nv := reflect.ValueOf(ns)
+			for i := 0; i < wv.NumField(); i++ {
+				f := wv.Field(i)
+				switch f.Kind() {
+				case reflect.Uint64:
+					f.SetUint(f.Uint() + nv.Field(i).Uint())
+				default:
+					f.SetInt(f.Int() + nv.Field(i).Int())
+				}
+			}
+		}
+		got := al.Stats().Buddy
+		if got != want {
+			t.Errorf("Stats().Buddy = %+v, want the per-node sum %+v", got, want)
+		}
+		if got.BitmapReads == 0 || got.BitmapWrites == 0 {
+			t.Errorf("bitmap traffic reads=%d writes=%d, want nonzero", got.BitmapReads, got.BitmapWrites)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -59,7 +59,7 @@
 // (DefaultMmapReuseCap); the paper's designs leave it off so their measured
 // syscall and fault counts stay faithful. Stats reports all tiers:
 // Depot{Hits,Misses,Donates,Overflows,Chunks,Bytes}, CachedBytes,
-// CacheMark{Grows,Shrinks}, ArenaLockAcqs, and MmapReuses/MmapReuseBytes.
+// CacheMark{Grows,Shrinks}, ArenaLockAcqs, and VM.MmapReuses/MmapReuseBytes.
 //
 // # The four-tier hierarchy and its reclamation paths
 //
@@ -92,7 +92,7 @@
 // so a mid-burst arena is never forced into a madvise/refault ping-pong.
 // Experiment D3 measures the result: burst footprint decays during idle
 // phases while the post-idle burst keeps its throughput. Stats carries the
-// whole story in the Scavenge* counters plus PagesReleased/Refaults.
+// whole story in the Scavenge* counters plus VM.PagesReleased/Refaults.
 //
 // # The locality model (NUMA node sharding)
 //
@@ -120,7 +120,7 @@
 //     in node order, so reclamation stays node-local too.
 //
 // The cost side lives in vm (the RemoteAccess multiplier on cross-node
-// faults, memory-served misses and hand-outs, mirrored into Stats as
+// faults, memory-served misses and hand-outs, read through Stats.VM as
 // RemoteAccesses/RemoteAccessCycles/RemoteFaults). Experiment D4 compares
 // node-blind and node-sharded placement across 1/2/4-node machines; on one
 // node both configurations are the same single-shard code path and every
@@ -364,10 +364,6 @@ type Stats struct {
 	// ArenaLockAcqs sums the arenas' mutex acquisitions: the contention
 	// currency the transfer cache exists to save.
 	ArenaLockAcqs uint64
-	// Mmap-region reuse counters, mirrored from the address space.
-	MmapReuses      uint64 // above-threshold regions served without a syscall
-	MmapReuseBytes  uint64 // cumulative bytes served from the reuse cache
-	MmapReuseParked uint64 // bytes parked in the reuse cache right now
 	// Scavenger counters (all zero while scavenging is off).
 	ScavengeEpochs uint64 // decay passes run
 	// ScavengeBytes sums what every tier shed. Tiers overlap: magazine and
@@ -381,19 +377,9 @@ type Stats struct {
 	ScavengeReuseBytes  uint64 // parked mmap regions munmapped by age
 	ScavengeBinBytes    uint64 // binned-chunk interior bytes released to the kernel
 	ScavengeTrimBytes   uint64 // arena-top bytes released to the kernel
-	// Page-residency mirrors from the address space.
-	PagesReleased uint64 // pages handed back by ReleasePages — top trim and binned release (cumulative)
-	Refaults      uint64 // faults on pages the scavenger had released
 	// NUMA counters (all zero on 1-node machines).
 	RemoteFrees uint64 // frees of chunks owned by another node's arena (routed home, Hoard-style)
 	RemoteBytes uint64 // bytes those remote frees covered
-	// Remote-access mirrors from the address space: the cross-node events
-	// (faults, refaults, memory misses, reuse hand-outs), the extra cycles
-	// they paid — the currency experiment D4 compares placements in — and
-	// the fault subset.
-	RemoteAccesses     uint64
-	RemoteAccessCycles uint64
-	RemoteFaults       uint64
 	// Contention-point counters (experiment D5's currency). DepotLockAcqs
 	// sums the depot class-lock acquisitions — zero by construction on the
 	// lock-free depot, whose traffic shows up in the CAS counters instead.
@@ -418,12 +404,6 @@ type Stats struct {
 	SvcPrefetches   uint64 // spans prefetched into mailboxes ahead of demand
 	SvcParkedChunks int    // chunks parked in mailboxes right now
 	SvcParkedBytes  uint64 // bytes parked in mailboxes right now
-	// Buddy page-backend counters (lock-free kinds; mirrors heap.BuddyStats).
-	BuddyAllocs    uint64 // block allocations served by the buddy
-	BuddyFrees     uint64 // whole blocks returned to the buddy
-	BuddySplits    uint64 // block splits on the alloc path
-	BuddyMerges    uint64 // buddy coalesces on the free path
-	BuddyGrowLocks uint64 // grow-lock acquisitions (the only locked buddy path)
 	// Memory-pressure counters (pressure.go; all zero unless a commit limit
 	// or fault injection makes an allocation fail).
 	EmergencyScavenges uint64 // emergency reclamation cascade passes run
@@ -435,11 +415,6 @@ type Stats struct {
 	// parking disabled too). It decays back to 0 once allocations stop
 	// failing for a pressure window.
 	PressureLevel int
-	// Commit-limit mirrors from the address space (vm.SetMemLimit).
-	CommittedBytes uint64 // mapped-minus-released bytes charged right now
-	PeakCommitted  uint64 // high-water mark of CommittedBytes
-	CommitFails    uint64 // grows/commits refused by the limit
-	InjectedFaults uint64 // grows refused by fault injection instead
 	// Line-aware placement counters (CostParams.LineAware; all zero blind).
 	// LineQuantBytes is the cumulative internal fragmentation added by
 	// rounding chunk sizes to line multiples — the memory half of the D9
@@ -447,18 +422,15 @@ type Stats struct {
 	LineQuantBytes uint64 // extra bytes per malloc from line quantization (cumulative)
 	LineColorBytes uint64 // bytes currently sacrificed to span color offsets
 	LineColorSpans uint64 // buddy spans currently carrying a color offset
-	// Cache fill-class mirrors from the address space: every data access
-	// split by where the line came from. FillC2C — lines supplied dirty by
-	// another CPU — is the coherence-transfer currency experiment D9
-	// compares placements in.
-	FillLocal        uint64 // hits and upgrades: no data moved
-	FillLocalCycles  uint64
-	FillRemote       uint64 // misses served from memory (cold or clean)
-	FillRemoteCycles uint64
-	FillC2C          uint64 // cache-to-cache transfers from another CPU's dirty copy
-	FillC2CCycles    uint64
-	ArenaCount       int
-	Heap             heap.Stats // summed over arenas
+	ArenaCount     int
+	Heap           heap.Stats // summed over arenas
+	// VM is the address space's own snapshot: faults, mappings, residency,
+	// the mmap reuse tier, remote-access charges, commit-limit accounting
+	// and the cache fill classes.
+	VM vm.Stats
+	// Buddy sums the buddy page backends' counters (lock-free kinds; zero
+	// elsewhere).
+	Buddy heap.BuddyStats
 }
 
 // Allocator is the public allocator interface: the system malloc/free pair
@@ -644,44 +616,20 @@ func (b *base) freeIfMmapped(t *sim.Thread, mem uint64) (bool, error) {
 	return false, nil
 }
 
-// sumStats collects allocator- and arena-level statistics. The vm mirrors
-// and the arena sums each go through one path — mirrorVMStats and
-// heap.Stats.Add — so a counter added to either layer cannot be silently
+// sumStats collects allocator- and arena-level statistics. The vm counters
+// travel as the address space's own snapshot and the arena sums go through
+// heap.Stats.Add, so a counter added to either layer cannot be silently
 // dropped from the allocator-level aggregate (the fate of the pre-Add
 // hand-written field list).
 func (b *base) sumStats() Stats {
 	s := b.stats
 	s.ArenaCount = len(b.arenas)
-	mirrorVMStats(&s, b.as.Stats())
+	s.VM = b.as.Stats()
 	for _, a := range b.arenas {
 		s.ArenaLockAcqs += a.Lock.Acquisitions
 		s.Heap.Add(a.Stats())
 	}
 	return s
-}
-
-// mirrorVMStats copies the address-space counters that Stats re-exports at
-// the allocator level: the reuse-cache tier, page residency, and the
-// cross-node access charges.
-func mirrorVMStats(s *Stats, vs vm.Stats) {
-	s.MmapReuses = vs.MmapReuses
-	s.MmapReuseBytes = vs.MmapReuseBytes
-	s.MmapReuseParked = vs.MmapReuseParked
-	s.PagesReleased = vs.PagesReleased
-	s.Refaults = vs.Refaults
-	s.RemoteAccesses = vs.RemoteAccesses
-	s.RemoteAccessCycles = vs.RemoteAccessCycles
-	s.RemoteFaults = vs.RemoteFaults
-	s.CommittedBytes = vs.CommittedBytes
-	s.PeakCommitted = vs.PeakCommitted
-	s.CommitFails = vs.CommitFails
-	s.InjectedFaults = vs.InjectedFaults
-	s.FillLocal = vs.FillLocal
-	s.FillLocalCycles = vs.FillLocalCycles
-	s.FillRemote = vs.FillRemote
-	s.FillRemoteCycles = vs.FillRemoteCycles
-	s.FillC2C = vs.FillC2C
-	s.FillC2CCycles = vs.FillC2CCycles
 }
 
 // noteQuant records the internal fragmentation one allocation pays for line

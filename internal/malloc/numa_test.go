@@ -416,8 +416,8 @@ func TestSumStatsDropsNoHeapField(t *testing.T) {
 	}
 }
 
-// TestStatsMirrorsRemoteCounters: the allocator-level Stats re-export the
-// address space's remote-access counters verbatim.
+// TestStatsMirrorsRemoteCounters: the allocator-level Stats carry the
+// address space's remote-access counters (through Stats.VM).
 func TestStatsMirrorsRemoteCounters(t *testing.T) {
 	m, as := newNUMAWorld(2, 2, 41)
 	err := m.Run(func(main *sim.Thread) {
@@ -436,15 +436,8 @@ func TestStatsMirrorsRemoteCounters(t *testing.T) {
 			return
 		}
 		as.Write8(main, addr, 1)
-		vs := as.Stats()
-		st := al.Stats()
-		if vs.RemoteAccesses == 0 {
+		if al.Stats().VM.RemoteAccesses == 0 {
 			t.Fatal("probe produced no remote accesses")
-		}
-		if st.RemoteAccesses != vs.RemoteAccesses || st.RemoteAccessCycles != vs.RemoteAccessCycles || st.RemoteFaults != vs.RemoteFaults {
-			t.Errorf("mirror mismatch: alloc %d/%d/%d vs vm %d/%d/%d",
-				st.RemoteAccesses, st.RemoteAccessCycles, st.RemoteFaults,
-				vs.RemoteAccesses, vs.RemoteAccessCycles, vs.RemoteFaults)
 		}
 	})
 	if err != nil {

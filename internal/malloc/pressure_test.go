@@ -159,7 +159,7 @@ func TestPtmallocSurvivesInjectedMmapFailures(t *testing.T) {
 			th.Join(w)
 		}
 		st := al.Stats()
-		if st.InjectedFaults == 0 {
+		if st.VM.InjectedFaults == 0 {
 			t.Error("InjectedFaults = 0: the workload never exercised a growth call")
 		}
 		if err := al.Check(); err != nil {

@@ -41,11 +41,11 @@ func baseOfAllocator(al Allocator) *base {
 func snapshotSample(al Allocator, b *base) telemetry.Sample {
 	st := al.Stats()
 	s := telemetry.Sample{
-		ResidentBytes:  b.as.Stats().ResidentBytes,
-		CommittedBytes: st.CommittedBytes,
+		ResidentBytes:  st.VM.ResidentBytes,
+		CommittedBytes: st.VM.CommittedBytes,
 		CachedBytes:    st.CachedBytes,
 		DepotBytes:     st.DepotBytes,
-		ParkedBytes:    st.MmapReuseParked,
+		ParkedBytes:    st.VM.MmapReuseParked,
 		PressureLevel:  st.PressureLevel,
 	}
 	// Machine.Points() is the registration-order slice, so the walk is

@@ -1068,15 +1068,12 @@ func (tc *ThreadCache) Stats() Stats {
 		}
 	}
 	if tc.lf != nil {
-		bs := tc.lf.bStats()
-		s.BuddyAllocs = bs.Allocs
-		s.BuddyFrees = bs.Frees
-		s.BuddySplits = bs.Splits
-		s.BuddyMerges = bs.Merges
-		s.BuddyGrowLocks = bs.GrowLockAcqs
-		s.CASAttempts += bs.CASAttempts
-		s.CASFails += bs.CASFails
-		s.CASRetryCycles += uint64(bs.RetryCycles)
+		for _, nd := range tc.lf.nodes {
+			s.Buddy.Add(nd.buddy.Stats())
+		}
+		s.CASAttempts += s.Buddy.CASAttempts
+		s.CASFails += s.Buddy.CASFails
+		s.CASRetryCycles += uint64(s.Buddy.RetryCycles)
 	}
 	if tc.svc != nil {
 		s.SvcParkedChunks, s.SvcParkedBytes = tc.svc.parked()
@@ -1090,7 +1087,7 @@ func (tc *ThreadCache) Stats() Stats {
 // plots.
 func (tc *ThreadCache) ParkedBytes() uint64 {
 	s := tc.Stats()
-	return s.CachedBytes + s.DepotBytes + s.SvcParkedBytes + s.MmapReuseParked
+	return s.CachedBytes + s.DepotBytes + s.SvcParkedBytes + s.VM.MmapReuseParked
 }
 
 // Check verifies every arena plus the cache invariants: every parked chunk

@@ -632,8 +632,8 @@ func TestThreadCacheMmapReuse(t *testing.T) {
 			t.Errorf("reused region re-faulted: %d -> %d", faults, vs.MinorFaults)
 		}
 		st := al.Stats()
-		if st.MmapReuses != 1 || st.MmapReuseBytes == 0 {
-			t.Errorf("allocator reuse stats = %d/%d, want 1/nonzero", st.MmapReuses, st.MmapReuseBytes)
+		if st.VM.MmapReuses != 1 || st.VM.MmapReuseBytes == 0 {
+			t.Errorf("allocator reuse stats = %d/%d, want 1/nonzero", st.VM.MmapReuses, st.VM.MmapReuseBytes)
 		}
 		if err := al.Free(main, q); err != nil {
 			t.Errorf("Free 2: %v", err)
