@@ -326,18 +326,19 @@ func (m *Machine) spawn(parent *Thread, name string, body func(*Thread)) *Thread
 	return child
 }
 
-// loop is the engine: repeatedly dispatch the runnable thread with the
-// minimum clock until no threads remain.
+// loop is the engine: it dispatches the runnable thread with the minimum
+// clock whenever control comes back to it, which is at the start of the run,
+// when a thread finishes and when a yielding thread finds nothing runnable
+// (handOff), until no threads remain.
 func (m *Machine) loop() {
 	for m.liveThreads > 0 {
 		t := m.takeMinRunnable()
 		if t == nil {
-			if m.liveThreads > 0 {
+			if m.failure == nil {
 				m.failure = fmt.Errorf("sim: deadlock: %d live threads, none runnable", m.liveThreads)
-				m.abortAll()
-				continue
 			}
-			return
+			m.abortAll()
+			continue
 		}
 		m.dispatch(t)
 		m.resumeThread(t)
@@ -481,13 +482,12 @@ func (m *Machine) sleepThread(t *Thread, d Time) {
 	t.clock += d
 	t.state = stateRunnable
 	m.runnable = append(m.runnable, t)
-	m.engineCh <- t
-	<-t.resume
-	m.checkAbort()
+	m.handOff(t)
 }
 
-// switchToEngine parks the calling thread and wakes the engine.
-func (m *Machine) switchToEngine(t *Thread) {
+// yieldThread gives up t's CPU at its current clock: a running thread
+// rejoins the run queue, a blocked one (Join) waits off it.
+func (m *Machine) yieldThread(t *Thread) {
 	if t.state == stateRunning {
 		t.state = stateRunnable
 		m.runnable = append(m.runnable, t)
@@ -495,12 +495,33 @@ func (m *Machine) switchToEngine(t *Thread) {
 	if cs := &m.cpus[t.lastCPU]; cs.lastThread == t.id {
 		cs.freeAt = t.clock
 	}
-	m.engineCh <- t
-	<-t.resume
+	m.handOff(t)
+}
+
+// handOff runs the engine's step on the caller's goroutine once t has left
+// its CPU: it dispatches the runnable thread with the minimum clock and
+// resumes it directly, then parks t until some thread picks it. When the
+// pick is t itself it returns with no goroutine switch. An empty run queue
+// is the deadlock path, which goes to the engine goroutine.
+func (m *Machine) handOff(t *Thread) {
+	next := m.takeMinRunnable()
+	switch {
+	case next == nil:
+		m.engineCh <- t
+		<-t.resume
+	case next == t:
+		m.dispatch(t)
+	default:
+		m.dispatch(next)
+		next.resume <- struct{}{}
+		<-t.resume
+	}
 	m.checkAbort()
 }
 
-// resumeThread hands control to t and waits for it to come back.
+// resumeThread hands control to t and waits for control to come back to the
+// engine: threads hand off among themselves until one finishes or finds
+// nothing runnable.
 func (m *Machine) resumeThread(t *Thread) {
 	t.resume <- struct{}{}
 	<-m.engineCh

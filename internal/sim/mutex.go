@@ -9,7 +9,7 @@ import "fmt"
 // it. A Lock at simulated time t either proceeds immediately (t >= busyUntil)
 // or advances the caller's clock to busyUntil, charging a handoff penalty
 // when ownership changes hands. TryLock succeeds only when the lock's
-// horizon has passed. Because the engine resumes threads in global time
+// horizon has passed. Because the scheduler resumes threads in global time
 // order and critical sections never span yield points, the horizon is always
 // consistent when a thread observes it.
 //

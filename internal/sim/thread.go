@@ -18,10 +18,11 @@ const (
 )
 
 // Thread is a simulated thread of execution. Thread bodies are ordinary Go
-// functions run on their own goroutine; the engine resumes exactly one at a
-// time, so bodies may freely mutate shared simulator state without real
-// synchronization. A body interacts with simulated time only through the
-// methods of this type (Charge, Lock, MaybeYield, ...).
+// functions run on their own goroutine; exactly one runs at a time, and each
+// yield hands control straight to the next, so bodies may freely mutate
+// shared simulator state without real synchronization. A body interacts with
+// simulated time only through the methods of this type (Charge, Lock,
+// MaybeYield, ...).
 type Thread struct {
 	id      int
 	Name    string
@@ -136,8 +137,8 @@ func (t *Thread) AtomicAdd(p *CASPoint) { p.update(t, false) }
 
 // MaybeYield marks an operation boundary. Thread bodies (and the allocator
 // entry points) call it once per logical operation; every BatchOps
-// operations or BatchCycles simulated cycles the thread yields to the engine
-// so other threads can interleave. Must not be called while holding a Mutex.
+// operations or BatchCycles simulated cycles the thread yields so other
+// threads can interleave. Must not be called while holding a Mutex.
 func (t *Thread) MaybeYield() {
 	t.Ops++
 	t.opsSinceYield++
@@ -147,15 +148,17 @@ func (t *Thread) MaybeYield() {
 	}
 }
 
-// Yield unconditionally returns control to the engine until the thread is
-// next dispatched.
+// Yield unconditionally gives up the CPU until the thread is next
+// dispatched. The yielding goroutine runs the scheduler step itself and
+// resumes the picked thread directly; if that is the caller, Yield returns
+// without a goroutine switch.
 func (t *Thread) Yield() {
 	if t.holding > 0 {
 		panic(fmt.Sprintf("sim: thread %q yielded while holding %d mutex(es)", t.Name, t.holding))
 	}
 	t.endBatch()
-	t.machine.switchToEngine(t)
-	// Engine has re-dispatched us; batch accounting restarts in dispatch.
+	t.machine.yieldThread(t)
+	// We have been re-dispatched; batch accounting restarts in dispatch.
 }
 
 // endBatch folds the finished batch into the preemption statistics.
@@ -206,7 +209,7 @@ func (t *Thread) Join(other *Thread) {
 		other.waiters = append(other.waiters, t)
 		t.state = stateBlocked
 		t.endBatch()
-		t.machine.switchToEngine(t)
+		t.machine.yieldThread(t)
 	}
 	if other.state != stateDone {
 		panic("sim: woke from Join before target finished")

@@ -6,9 +6,13 @@
 // The design targets the workloads of Lever & Boreham (USENIX 2000):
 // allocation-intensive loops whose interesting behaviour is lock contention,
 // lock convoys, scheduler interleaving past the CPU count, and cache-line
-// traffic. Simulated threads are goroutines that the engine resumes one at a
+// traffic. Simulated threads are goroutines, exactly one of which runs at a
 // time; they yield cooperatively at operation-batch boundaries, so every run
-// is a pure function of the configuration seed.
+// is a pure function of the configuration seed. A yielding thread runs the
+// scheduler step itself (Yield, Sleep and a blocking Join pick the
+// min-clock runnable thread, dispatch it and resume it directly); the engine
+// goroutine only starts the run, takes back finished threads, detects
+// deadlock and tears down.
 //
 // Accuracy trade-offs: mutexes keep a monotonic
 // "busy until" horizon instead of a full interval set, critical sections
