@@ -142,9 +142,11 @@ func runB1Alloc(b *testing.B, kind AllocatorKind, threads int) {
 	b.Helper()
 	var last float64
 	for i := 0; i < b.N; i++ {
+		prof := QuadXeon500()
+		prof.Allocator = kind
 		res, err := bench.RunBench1(bench.B1Config{
-			Profile: QuadXeon500(), Threads: threads, Size: 8192,
-			Pairs: benchPairs, Runs: 1, Seed: uint64(i + 1), Allocator: kind,
+			Profile: prof, Threads: threads, Size: 8192,
+			Pairs: benchPairs, Runs: 1, Seed: uint64(i + 1),
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -67,13 +67,24 @@ func main() {
 			prof.SimCosts.RemoteAccess = 1.6
 		}
 	}
+	prof.Allocator = malloc.Kind(*allocator)
+	// Designs without a scavenger simply ignore its knobs, so one flag set
+	// tortures all kinds uniformly.
+	if *scavenge > 0 {
+		prof.AllocCosts.ScavengeInterval = *scavenge
+	}
+	if *binnedRelease {
+		// Padless and floor-at-one-page: maximum release pressure, so every
+		// released interior the churn re-carves is checked.
+		prof.AllocCosts.ScavengeMinBinBytes = 4096
+		prof.AllocCosts.ScavengeBinPad = -1
+	}
+	prof.AllocCosts.LineAware = *lineAware
 	for seed := 1; seed <= *seeds; seed++ {
 		cfg := tortureConfig{
-			prof: prof, kind: malloc.Kind(*allocator),
+			prof:    prof,
 			threads: *threads, ops: *ops, maxSize: *maxSize, checkEvery: *checkEvery,
-			scavenge: *scavenge, binnedRelease: *binnedRelease,
-			lineAware: *lineAware,
-			memLimit:  *memLimit, faultRate: *faultRate, seed: uint64(seed),
+			memLimit: *memLimit, faultRate: *faultRate, seed: uint64(seed),
 			telemetry: *telemetryOn,
 		}
 		if *memLimitRatio > 0 {
@@ -104,11 +115,7 @@ func main() {
 
 type tortureConfig struct {
 	prof                              bench.Profile
-	kind                              malloc.Kind
 	threads, ops, maxSize, checkEvery int
-	scavenge                          int64
-	binnedRelease                     bool
-	lineAware                         bool
 	memLimit                          uint64
 	faultRate                         float64
 	seed                              uint64
@@ -148,24 +155,7 @@ func printTelemetry(rec *telemetry.Recorder) {
 }
 
 func torture(cfg tortureConfig) (tortureResult, error) {
-	opts := []bench.WorldOption{bench.WithAllocator(cfg.kind)}
-	if cfg.scavenge > 0 || cfg.lineAware {
-		// Designs without a scavenger simply ignore its knobs, so one flag
-		// set tortures all kinds uniformly.
-		costs := cfg.prof.AllocCosts
-		if cfg.scavenge > 0 {
-			costs.ScavengeInterval = cfg.scavenge
-		}
-		if cfg.binnedRelease {
-			// Padless and floor-at-one-page: maximum release pressure, so
-			// every released interior the churn re-carves is checked.
-			costs.ScavengeMinBinBytes = 4096
-			costs.ScavengeBinPad = -1
-		}
-		costs.LineAware = cfg.lineAware
-		opts = append(opts, bench.WithAllocCosts(costs))
-	}
-	w := bench.NewWorld(cfg.prof, cfg.seed, opts...)
+	w := bench.NewWorld(cfg.prof, cfg.seed)
 	var res tortureResult
 	var checkErr error
 	err := w.Run(func(main *sim.Thread) {

@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"mtmalloc/internal/bench"
@@ -43,7 +44,7 @@ func main() {
 	aligned := flag.Bool("aligned", false, "benchmark 3: cache-line aligned allocator")
 	runs := flag.Int("runs", 3, "repetitions")
 	seed := flag.Uint64("seed", 1, "base seed")
-	allocator := flag.String("allocator", "", "override allocator: "+allocatorKinds())
+	allocator := flag.String("allocator", "", "benchmarks 1, 2, 3 and larson: allocator design instead of the profile's platform allocator: "+allocatorKinds())
 	scale := flag.Float64("scale", 0.02, "experiments: workload scale factor (d2: fraction of the 10M benchmark-1 pairs)")
 	jsonPath := flag.String("json", "", "also write the result table as JSON to this file")
 	telemetryPath := flag.String("telemetry", "", "larson: record telemetry and write run 0's report JSON here plus a Chrome trace-event file next to it (<name>.trace.json); adds latency percentile columns")
@@ -59,19 +60,34 @@ func main() {
 	if *telemetryPath != "" && *which != "larson" {
 		fatal(fmt.Errorf("-telemetry is only wired into -bench larson (got -bench %q)", *which))
 	}
+	switch *which {
+	case "1", "2", "3", "larson":
+	default:
+		// Experiments pick their own machines and designs.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "allocator" || f.Name == "profile" {
+				fatal(fmt.Errorf("-%s only applies to -bench 1, 2, 3 and larson (got -bench %q)", f.Name, *which))
+			}
+		})
+	}
 
 	prof, err := bench.ProfileByName(*profileName)
 	if err != nil {
 		fatal(err)
 	}
-	kind := malloc.Kind(*allocator)
+	if *allocator != "" {
+		if !slices.Contains(kinds, malloc.Kind(*allocator)) {
+			fatal(fmt.Errorf("unknown -allocator %q (want one of %s)", *allocator, allocatorKinds()))
+		}
+		prof.Allocator = malloc.Kind(*allocator)
+	}
 
 	var tab *bench.Table
 	switch *which {
 	case "1":
 		res, err := bench.RunBench1(bench.B1Config{
 			Profile: prof, Threads: *threads, Processes: *processes,
-			Size: uint32(*size), Pairs: *pairs, Runs: *runs, Seed: *seed, Allocator: kind,
+			Size: uint32(*size), Pairs: *pairs, Runs: *runs, Seed: *seed,
 		})
 		if err != nil {
 			fatal(err)
@@ -85,7 +101,7 @@ func main() {
 	case "2":
 		res, err := bench.RunBench2(bench.B2Config{
 			Profile: prof, Threads: *threads, Rounds: *rounds, Objects: *objects,
-			Size: uint32(*size), Replace: 0.5, Runs: *runs, Seed: *seed, Allocator: kind,
+			Size: uint32(*size), Replace: 0.5, Runs: *runs, Seed: *seed,
 		})
 		if err != nil {
 			fatal(err)
@@ -101,7 +117,7 @@ func main() {
 	case "3":
 		res, err := bench.RunBench3(bench.B3Config{
 			Profile: prof, Threads: *threads, Size: uint32(*size), Writes: *writes,
-			Aligned: *aligned, Allocator: kind, Runs: *runs, Seed: *seed,
+			Aligned: *aligned, Runs: *runs, Seed: *seed,
 		})
 		if err != nil {
 			fatal(err)
@@ -116,7 +132,6 @@ func main() {
 		cfg.Threads = *threads
 		cfg.Runs = *runs
 		cfg.Seed = *seed
-		cfg.Allocator = kind
 		if *telemetryPath != "" {
 			cfg.Telemetry = &telemetry.Config{}
 		}
@@ -228,11 +243,14 @@ func writeTelemetry(path string, rec *telemetry.Recorder) error {
 	return nil
 }
 
-// allocatorKinds lists every -allocator value: the five designs plus the two
+// kinds holds every -allocator value: the five designs plus the two
 // offloaded variants.
+var kinds = append(malloc.Kinds(), malloc.KindThreadCacheSvc, malloc.KindLockFreeSvc)
+
+// allocatorKinds lists kinds for the usage text and error messages.
 func allocatorKinds() string {
 	var names []string
-	for _, k := range append(malloc.Kinds(), malloc.KindThreadCacheSvc, malloc.KindLockFreeSvc) {
+	for _, k := range kinds {
 		names = append(names, string(k))
 	}
 	return strings.Join(names, ", ")

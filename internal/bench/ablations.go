@@ -21,8 +21,10 @@ func AblationArenaPolicy(o Options) (*Table, error) {
 	pairs := o.pairs()
 	base := 0.0
 	for _, kind := range []malloc.Kind{malloc.KindPTMalloc, malloc.KindSerial, malloc.KindPerThread} {
-		r, err := RunBench1(B1Config{Profile: prof, Threads: 4, Size: 8192, Pairs: pairs,
-			Runs: 3, Seed: o.seed(), Allocator: kind})
+		kprof := prof
+		kprof.Allocator = kind
+		r, err := RunBench1(B1Config{Profile: kprof, Threads: 4, Size: 8192, Pairs: pairs,
+			Runs: 3, Seed: o.seed()})
 		if err != nil {
 			return nil, err
 		}

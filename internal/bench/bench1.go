@@ -20,11 +20,6 @@ type B1Config struct {
 	Pairs     int
 	Runs      int
 	Seed      uint64
-	// Allocator overrides the profile default when non-empty (ablations).
-	Allocator malloc.Kind
-	// Costs overrides the profile's allocator cost params when non-nil
-	// (mid-tier ablations).
-	Costs *malloc.CostParams
 }
 
 // B1Run is one benchmark execution: per-worker elapsed seconds.
@@ -46,17 +41,14 @@ type B1Result struct {
 
 // RunBench1 executes the configured number of runs and aggregates.
 func RunBench1(cfg B1Config) (B1Result, error) {
-	if cfg.Threads < 1 || cfg.Pairs < 1 || cfg.Runs < 1 {
+	if cfg.Threads < 1 || cfg.Pairs < 1 {
 		return B1Result{}, fmt.Errorf("bench1: bad config %+v", cfg)
 	}
-	res := B1Result{Config: cfg}
-	for run := 0; run < cfg.Runs; run++ {
-		r, err := runBench1Once(cfg, cfg.Seed+uint64(run)*7919)
-		if err != nil {
-			return B1Result{}, fmt.Errorf("bench1 run %d: %w", run, err)
-		}
-		res.Runs = append(res.Runs, r)
+	runs, err := repeatRuns("bench1", cfg.Runs, cfg.Seed, 7919, cfg.runOnce)
+	if err != nil {
+		return B1Result{}, err
 	}
+	res := B1Result{Config: cfg, Runs: runs}
 	var all []float64
 	for ti := 0; ti < cfg.Threads; ti++ {
 		var xs []float64
@@ -70,15 +62,8 @@ func RunBench1(cfg B1Config) (B1Result, error) {
 	return res, nil
 }
 
-func runBench1Once(cfg B1Config, seed uint64) (B1Run, error) {
-	var opts []WorldOption
-	if cfg.Allocator != "" {
-		opts = append(opts, WithAllocator(cfg.Allocator))
-	}
-	if cfg.Costs != nil {
-		opts = append(opts, WithAllocCosts(*cfg.Costs))
-	}
-	w := NewWorld(cfg.Profile, seed, opts...)
+func (cfg B1Config) runOnce(seed uint64) (B1Run, error) {
+	w := NewWorld(cfg.Profile, seed)
 	out := B1Run{PerThread: make([]float64, cfg.Threads)}
 	err := w.Run(func(main *sim.Thread) {
 		// Build instances: one shared, or one per worker.

@@ -40,11 +40,6 @@ type B2Config struct {
 	TouchObjects bool
 	Runs         int
 	Seed         uint64
-	// Allocator overrides the profile default when non-empty.
-	Allocator malloc.Kind
-	// Costs overrides the profile's allocator cost params when non-nil
-	// (mid-tier ablations).
-	Costs *malloc.CostParams
 }
 
 // DefaultB2 fills the paper's constants.
@@ -76,17 +71,14 @@ func PredictMinorFaults(threads, rounds int) float64 {
 
 // RunBench2 executes the configured runs.
 func RunBench2(cfg B2Config) (B2Result, error) {
-	if cfg.Threads < 1 || cfg.Rounds < 1 || cfg.Objects < 1 || cfg.Runs < 1 {
+	if cfg.Threads < 1 || cfg.Rounds < 1 || cfg.Objects < 1 {
 		return B2Result{}, fmt.Errorf("bench2: bad config %+v", cfg)
 	}
-	res := B2Result{Config: cfg, Predicted: PredictMinorFaults(cfg.Threads, cfg.Rounds)}
-	for run := 0; run < cfg.Runs; run++ {
-		r, err := runBench2Once(cfg, cfg.Seed+uint64(run)*104729)
-		if err != nil {
-			return B2Result{}, fmt.Errorf("bench2 run %d: %w", run, err)
-		}
-		res.Runs = append(res.Runs, r)
+	runs, err := repeatRuns("bench2", cfg.Runs, cfg.Seed, 104729, cfg.runOnce)
+	if err != nil {
+		return B2Result{}, err
 	}
+	res := B2Result{Config: cfg, Runs: runs, Predicted: PredictMinorFaults(cfg.Threads, cfg.Rounds)}
 	var xs []float64
 	for _, r := range res.Runs {
 		xs = append(xs, float64(r.AllocStats.VM.MinorFaults))
@@ -95,15 +87,8 @@ func RunBench2(cfg B2Config) (B2Result, error) {
 	return res, nil
 }
 
-func runBench2Once(cfg B2Config, seed uint64) (B2Run, error) {
-	var opts []WorldOption
-	if cfg.Allocator != "" {
-		opts = append(opts, WithAllocator(cfg.Allocator))
-	}
-	if cfg.Costs != nil {
-		opts = append(opts, WithAllocCosts(*cfg.Costs))
-	}
-	w := NewWorld(cfg.Profile, seed, opts...)
+func (cfg B2Config) runOnce(seed uint64) (B2Run, error) {
+	w := NewWorld(cfg.Profile, seed)
 	var out B2Run
 	err := w.Run(func(main *sim.Thread) {
 		inst, err := w.AddInstance(main)

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/stats"
 )
@@ -14,22 +13,19 @@ import (
 // allocator variant; normal uses default 8-byte alignment, so neighbouring
 // objects can share cache lines and ping-pong between CPUs.
 //
-// Allocator, when set, overrides the profile's default design so the
-// benchmark exercises that design's real placement (magazine refills, depot
-// spans, buddy carving) instead of only the main arena's; Costs additionally
-// overrides the allocator cost params (how D9 switches LineAware on). The
-// write loop itself still advances analytically from the resulting sharing
-// topology — the placement is real, the 100M iterations are not replayed.
+// The objects come from Profile.Allocator priced by Profile.AllocCosts, so
+// the benchmark exercises that design's real placement (magazine refills,
+// depot spans, buddy carving), not only the main arena's. The write loop
+// itself still advances analytically from the resulting sharing topology —
+// the placement is real, the 100M iterations are not replayed.
 type B3Config struct {
-	Profile   Profile
-	Threads   int
-	Size      uint32
-	Writes    int64
-	Aligned   bool
-	Allocator malloc.Kind
-	Costs     *malloc.CostParams
-	Runs      int
-	Seed      uint64
+	Profile Profile
+	Threads int
+	Size    uint32
+	Writes  int64
+	Aligned bool
+	Runs    int
+	Seed    uint64
 }
 
 // DefaultB3 fills the paper's constants (100 M writes).
@@ -56,17 +52,14 @@ func RunBench3(cfg B3Config) (B3Result, error) {
 	if cfg.Threads < 1 || cfg.Threads > cfg.Profile.CPUs {
 		return B3Result{}, fmt.Errorf("bench3: threads %d must be in 1..#CPUs (%d)", cfg.Threads, cfg.Profile.CPUs)
 	}
-	if cfg.Size < 1 || cfg.Writes < 1 || cfg.Runs < 1 {
+	if cfg.Size < 1 || cfg.Writes < 1 {
 		return B3Result{}, fmt.Errorf("bench3: bad config %+v", cfg)
 	}
-	res := B3Result{Config: cfg}
-	for run := 0; run < cfg.Runs; run++ {
-		r, err := runBench3Once(cfg, cfg.Seed+uint64(run)*31337)
-		if err != nil {
-			return B3Result{}, fmt.Errorf("bench3 run %d: %w", run, err)
-		}
-		res.Runs = append(res.Runs, r)
+	runs, err := repeatRuns("bench3", cfg.Runs, cfg.Seed, 31337, cfg.runOnce)
+	if err != nil {
+		return B3Result{}, err
 	}
+	res := B3Result{Config: cfg, Runs: runs}
 	var xs []float64
 	for _, r := range res.Runs {
 		xs = append(xs, r.WallSeconds)
@@ -75,19 +68,12 @@ func RunBench3(cfg B3Config) (B3Result, error) {
 	return res, nil
 }
 
-func runBench3Once(cfg B3Config, seed uint64) (B3Run, error) {
+func (cfg B3Config) runOnce(seed uint64) (B3Run, error) {
 	prof := cfg.Profile
 	if cfg.Aligned {
 		prof.HeapParams.Align = uint32(1) << prof.LineShift
 	}
-	var opts []WorldOption
-	if cfg.Allocator != "" {
-		opts = append(opts, WithAllocator(cfg.Allocator))
-	}
-	if cfg.Costs != nil {
-		opts = append(opts, WithAllocCosts(*cfg.Costs))
-	}
-	w := NewWorld(prof, seed, opts...)
+	w := NewWorld(prof, seed)
 	var out B3Run
 	err := w.Run(func(main *sim.Thread) {
 		inst, err := w.AddInstance(main)

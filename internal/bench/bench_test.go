@@ -399,11 +399,51 @@ func TestAblationsSmoke(t *testing.T) {
 	}
 }
 
+// TestZeroRunsRejected checks that every repeated benchmark refuses a
+// config with no runs instead of summarizing an empty sample.
+func TestZeroRunsRejected(t *testing.T) {
+	prof := QuadXeon500()
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"bench1", func() error {
+			_, err := RunBench1(B1Config{Profile: prof, Threads: 1, Size: 512, Pairs: 10, Seed: 1})
+			return err
+		}},
+		{"bench2", func() error {
+			cfg := DefaultB2(prof)
+			cfg.Runs = 0
+			_, err := RunBench2(cfg)
+			return err
+		}},
+		{"bench3", func() error {
+			cfg := DefaultB3(prof)
+			cfg.Runs = 0
+			_, err := RunBench3(cfg)
+			return err
+		}},
+		{"larson", func() error {
+			cfg := DefaultLarson(prof)
+			cfg.Runs = 0
+			_, err := RunLarson(cfg)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		if err := c.run(); err == nil {
+			t.Errorf("%s with Runs: 0 returned no error", c.name)
+		}
+	}
+}
+
 func TestAblationKindsRun(t *testing.T) {
 	// Every allocator kind must complete the bench1 loop.
 	for _, kind := range malloc.Kinds() {
-		r, err := RunBench1(B1Config{Profile: QuadXeon500(), Threads: 2, Size: 512,
-			Pairs: 5000, Runs: 1, Seed: 1, Allocator: kind})
+		prof := QuadXeon500()
+		prof.Allocator = kind
+		r, err := RunBench1(B1Config{Profile: prof, Threads: 2, Size: 512,
+			Pairs: 5000, Runs: 1, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -430,18 +470,17 @@ func TestTableRendering(t *testing.T) {
 // take fewer arena-lock acquisitions than PR 1's depot-less thread cache.
 func TestDepotCutsArenaLockAcqsOnBench2(t *testing.T) {
 	run := func(depotCap int64) uint64 {
-		costs := QuadXeon500().AllocCosts
-		costs.DepotCapBytes = depotCap
-		costs.MmapReuseCap = -1
-		costs.CacheAdaptive = -1
-		cfg := DefaultB2(QuadXeon500())
+		prof := QuadXeon500()
+		prof.Allocator = malloc.KindThreadCache
+		prof.AllocCosts.DepotCapBytes = depotCap
+		prof.AllocCosts.MmapReuseCap = -1
+		prof.AllocCosts.CacheAdaptive = -1
+		cfg := DefaultB2(prof)
 		cfg.Threads = 4
 		cfg.Rounds = 2
 		cfg.Objects = 2000
 		cfg.BatchReplace = 100
 		cfg.Runs = 1
-		cfg.Allocator = malloc.KindThreadCache
-		cfg.Costs = &costs
 		res, err := RunBench2(cfg)
 		if err != nil {
 			t.Fatalf("bench2 (depot cap %d): %v", depotCap, err)
@@ -460,13 +499,13 @@ func TestDepotCutsArenaLockAcqsOnBench2(t *testing.T) {
 // mmap+munmap syscall count and the minor fault count.
 func TestReuseCutsSyscallsAndFaultsOnLarson(t *testing.T) {
 	run := func(reuseCap int64) (syscalls, faults uint64) {
-		costs := QuadXeon500().AllocCosts
-		costs.MmapReuseCap = reuseCap
-		costs.DepotCapBytes = -1
-		costs.CacheAdaptive = -1
-		cfg := LarsonConfig{Profile: QuadXeon500(), Threads: 2, Slots: 20,
-			MinSize: 160 * 1024, MaxSize: 160 * 1024, Ops: 300, Runs: 1, Seed: 1,
-			Allocator: malloc.KindThreadCache, Costs: &costs}
+		prof := QuadXeon500()
+		prof.Allocator = malloc.KindThreadCache
+		prof.AllocCosts.MmapReuseCap = reuseCap
+		prof.AllocCosts.DepotCapBytes = -1
+		prof.AllocCosts.CacheAdaptive = -1
+		cfg := LarsonConfig{Profile: prof, Threads: 2, Slots: 20,
+			MinSize: 160 * 1024, MaxSize: 160 * 1024, Ops: 300, Runs: 1, Seed: 1}
 		res, err := RunLarson(cfg)
 		if err != nil {
 			t.Fatalf("larson (reuse cap %d): %v", reuseCap, err)
@@ -498,9 +537,7 @@ func TestScavengerFootprintDecay(t *testing.T) {
 		cfg.Phases = []Phase{{Ops: 8000, IdleSeconds: 0.06}, {Ops: 8000}}
 		cfg.SamplePeriodSeconds = 0.002
 		if scav {
-			costs := prof.AllocCosts
-			costs.ScavengeInterval = 1_000_000
-			cfg.Costs = &costs
+			cfg.Profile.AllocCosts.ScavengeInterval = 1_000_000
 		}
 		r, err := RunFootprint(cfg)
 		if err != nil {
@@ -545,7 +582,7 @@ func TestBinnedReleaseFootprintDecay(t *testing.T) {
 		cfg.LargeSlots = 2
 		cfg.Phases = []Phase{{Ops: 8000, IdleSeconds: 0.06}, {Ops: 8000}}
 		cfg.SamplePeriodSeconds = 0.002
-		costs := prof.AllocCosts
+		costs := &cfg.Profile.AllocCosts
 		costs.ScavengeInterval = 1_000_000
 		if binned {
 			costs.ScavengeMinBinBytes = 4096
@@ -553,7 +590,6 @@ func TestBinnedReleaseFootprintDecay(t *testing.T) {
 			// resident bin pad down with it or nothing clears the floor.
 			costs.ScavengeBinPad = 64 << 10
 		}
-		cfg.Costs = &costs
 		r, err := RunFootprint(cfg)
 		if err != nil {
 			t.Fatalf("footprint (binned=%v): %v", binned, err)

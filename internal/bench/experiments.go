@@ -376,27 +376,27 @@ func ExpDesigns(o Options) (*Table, error) {
 	}
 	var rows []row
 	for _, kind := range []malloc.Kind{malloc.KindPTMalloc, malloc.KindSerial, malloc.KindPerThread, malloc.KindThreadCache} {
-		b1, err := RunBench1(B1Config{Profile: prof, Threads: 4, Size: 512, Pairs: pairs,
-			Runs: 3, Seed: o.seed(), Allocator: kind})
+		kprof := prof
+		kprof.Allocator = kind
+		b1, err := RunBench1(B1Config{Profile: kprof, Threads: 4, Size: 512, Pairs: pairs,
+			Runs: 3, Seed: o.seed()})
 		if err != nil {
 			return nil, err
 		}
-		b2cfg := DefaultB2(prof)
+		b2cfg := DefaultB2(kprof)
 		b2cfg.Threads = 4
 		b2cfg.Rounds = 4
 		b2cfg.Runs = 3
 		b2cfg.Seed = o.seed()
-		b2cfg.Allocator = kind
 		b2, err := RunBench2(b2cfg)
 		if err != nil {
 			return nil, err
 		}
-		lcfg := DefaultLarson(prof)
+		lcfg := DefaultLarson(kprof)
 		lcfg.Threads = 4
 		lcfg.Ops = 20000
 		lcfg.Runs = 3
 		lcfg.Seed = o.seed()
-		lcfg.Allocator = kind
 		lar, err := RunLarson(lcfg)
 		if err != nil {
 			return nil, err
@@ -438,23 +438,23 @@ func ExpDesigns(o Options) (*Table, error) {
 // above-threshold Larson variant whose every object takes the mmap path, at
 // 1/2/4/8 threads.
 func ExpMidTier(o Options) (*Table, error) {
-	prof := QuadXeon500()
-	mk := func(depot, reuse, adaptive bool) *malloc.CostParams {
-		c := prof.AllocCosts
+	mk := func(depot, reuse, adaptive bool) Profile {
+		p := QuadXeon500()
+		p.Allocator = malloc.KindThreadCache
 		if !depot {
-			c.DepotCapBytes = -1
+			p.AllocCosts.DepotCapBytes = -1
 		}
 		if !reuse {
-			c.MmapReuseCap = -1
+			p.AllocCosts.MmapReuseCap = -1
 		}
 		if !adaptive {
-			c.CacheAdaptive = -1
+			p.AllocCosts.CacheAdaptive = -1
 		}
-		return &c
+		return p
 	}
 	configs := []struct {
-		name  string
-		costs *malloc.CostParams
+		name string
+		prof Profile
 	}{
 		{"pr1-baseline", mk(false, false, false)},
 		{"depot-only", mk(true, false, false)},
@@ -468,12 +468,12 @@ func ExpMidTier(o Options) (*Table, error) {
 	const runs = 2
 	for _, cfg := range configs {
 		for _, n := range []int{1, 2, 4, 8} {
-			b1, err := RunBench1(B1Config{Profile: prof, Threads: n, Size: 512, Pairs: pairs,
-				Runs: runs, Seed: o.seed(), Allocator: malloc.KindThreadCache, Costs: cfg.costs})
+			b1, err := RunBench1(B1Config{Profile: cfg.prof, Threads: n, Size: 512, Pairs: pairs,
+				Runs: runs, Seed: o.seed()})
 			if err != nil {
 				return nil, fmt.Errorf("D2 %s bench1 %dt: %w", cfg.name, n, err)
 			}
-			b2cfg := DefaultB2(prof)
+			b2cfg := DefaultB2(cfg.prof)
 			b2cfg.Threads = n
 			b2cfg.Rounds = 3
 			b2cfg.Objects = 4000
@@ -482,15 +482,12 @@ func ExpMidTier(o Options) (*Table, error) {
 			b2cfg.BatchReplace = 100
 			b2cfg.Runs = runs
 			b2cfg.Seed = o.seed()
-			b2cfg.Allocator = malloc.KindThreadCache
-			b2cfg.Costs = cfg.costs
 			b2, err := RunBench2(b2cfg)
 			if err != nil {
 				return nil, fmt.Errorf("D2 %s bench2 %dt: %w", cfg.name, n, err)
 			}
-			lcfg := LarsonConfig{Profile: prof, Threads: n, Slots: 40,
-				MinSize: 160 * 1024, MaxSize: 160 * 1024, Ops: 1200, Runs: runs, Seed: o.seed(),
-				Allocator: malloc.KindThreadCache, Costs: cfg.costs}
+			lcfg := LarsonConfig{Profile: cfg.prof, Threads: n, Slots: 40,
+				MinSize: 160 * 1024, MaxSize: 160 * 1024, Ops: 1200, Runs: runs, Seed: o.seed()}
 			lar, err := RunLarson(lcfg)
 			if err != nil {
 				return nil, fmt.Errorf("D2 %s larson %dt: %w", cfg.name, n, err)

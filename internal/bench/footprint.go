@@ -32,11 +32,6 @@ type FootprintConfig struct {
 	// SamplePeriodSeconds is the footprint sampling interval.
 	SamplePeriodSeconds float64
 	Seed                uint64
-	// Allocator overrides the profile default when non-empty.
-	Allocator malloc.Kind
-	// Costs overrides the profile's allocator cost params when non-nil
-	// (scavenger ablations).
-	Costs *malloc.CostParams
 }
 
 // FootprintSample is one point of the footprint time series.
@@ -65,8 +60,9 @@ type FootprintRun struct {
 }
 
 // DefaultFootprint returns the D3 shape: a burst, a long idle, and a second
-// burst to measure the refault bill, on the quad Xeon.
+// burst to measure the refault bill, on p running the thread cache.
 func DefaultFootprint(p Profile) FootprintConfig {
+	p.Allocator = malloc.KindThreadCache
 	return FootprintConfig{
 		Profile:             p,
 		Threads:             4,
@@ -77,7 +73,6 @@ func DefaultFootprint(p Profile) FootprintConfig {
 		Phases:              []Phase{{Ops: 40000, IdleSeconds: 0.08}, {Ops: 40000}},
 		SamplePeriodSeconds: 0.004,
 		Seed:                1,
-		Allocator:           malloc.KindThreadCache,
 	}
 }
 
@@ -87,14 +82,7 @@ func RunFootprint(cfg FootprintConfig) (FootprintRun, error) {
 	if cfg.Threads < 1 || cfg.Slots < 1 || len(cfg.Phases) == 0 || cfg.SamplePeriodSeconds <= 0 {
 		return FootprintRun{}, fmt.Errorf("footprint: bad config %+v", cfg)
 	}
-	var opts []WorldOption
-	if cfg.Allocator != "" {
-		opts = append(opts, WithAllocator(cfg.Allocator))
-	}
-	if cfg.Costs != nil {
-		opts = append(opts, WithAllocCosts(*cfg.Costs))
-	}
-	w := NewWorld(cfg.Profile, cfg.Seed, opts...)
+	w := NewWorld(cfg.Profile, cfg.Seed)
 	var out FootprintRun
 	err := w.Run(func(main *sim.Thread) {
 		inst, err := w.AddInstance(main)
@@ -296,12 +284,12 @@ func ExpFootprint(o Options) (*Table, error) {
 	configs := []struct {
 		name  string
 		kind  malloc.Kind
-		costs *malloc.CostParams
+		costs malloc.CostParams
 	}{
-		{"ptmalloc", malloc.KindPTMalloc, nil},
-		{"threadcache", malloc.KindThreadCache, nil},
-		{"threadcache+scav", malloc.KindThreadCache, &scavCosts},
-		{"threadcache+scav+binned", malloc.KindThreadCache, &binCosts},
+		{"ptmalloc", malloc.KindPTMalloc, prof.AllocCosts},
+		{"threadcache", malloc.KindThreadCache, prof.AllocCosts},
+		{"threadcache+scav", malloc.KindThreadCache, scavCosts},
+		{"threadcache+scav+binned", malloc.KindThreadCache, binCosts},
 	}
 	t := &Table{ID: "D3", Title: "footprint under phase shifts, quad Xeon: burst / idle 80ms / burst, 4 threads, 512B + 160KB slots",
 		Columns: []string{"config", "t(ms)", "resident(KB)", "parked(KB)", "footprint(KB)"}}
@@ -313,8 +301,8 @@ func ExpFootprint(o Options) (*Table, error) {
 	for _, c := range configs {
 		cfg := DefaultFootprint(prof)
 		cfg.Seed = o.seed()
-		cfg.Allocator = c.kind
-		cfg.Costs = c.costs
+		cfg.Profile.Allocator = c.kind
+		cfg.Profile.AllocCosts = c.costs
 		for i := range cfg.Phases {
 			cfg.Phases[i].Ops = ops
 		}

@@ -61,11 +61,6 @@ type LarsonConfig struct {
 	RotateRounds int
 	Runs         int
 	Seed         uint64
-	// Allocator overrides the profile default when non-empty.
-	Allocator malloc.Kind
-	// Costs overrides the profile's allocator cost params when non-nil
-	// (mid-tier ablations).
-	Costs *malloc.CostParams
 	// MemLimit, when > 0, caps the instance's committed bytes
 	// (vm.SetMemLimit) before the workload starts: growth past it fails
 	// with vm.ErrNoMem and the allocator's emergency cascade takes over.
@@ -131,14 +126,11 @@ func RunLarson(cfg LarsonConfig) (LarsonResult, error) {
 	if cfg.Rotate && (cfg.Producers > 0 || len(cfg.Phases) > 0 || cfg.TolerateOOM) {
 		return LarsonResult{}, fmt.Errorf("larson: Rotate excludes Producers, Phases and TolerateOOM")
 	}
-	res := LarsonResult{Config: cfg}
-	for run := 0; run < cfg.Runs; run++ {
-		r, err := runLarsonOnce(cfg, cfg.Seed+uint64(run)*65537)
-		if err != nil {
-			return LarsonResult{}, fmt.Errorf("larson run %d: %w", run, err)
-		}
-		res.Runs = append(res.Runs, r)
+	runs, err := repeatRuns("larson", cfg.Runs, cfg.Seed, 65537, cfg.runOnce)
+	if err != nil {
+		return LarsonResult{}, err
 	}
+	res := LarsonResult{Config: cfg, Runs: runs}
 	var xs []float64
 	for _, r := range res.Runs {
 		xs = append(xs, r.Throughput)
@@ -147,15 +139,8 @@ func RunLarson(cfg LarsonConfig) (LarsonResult, error) {
 	return res, nil
 }
 
-func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
-	var opts []WorldOption
-	if cfg.Allocator != "" {
-		opts = append(opts, WithAllocator(cfg.Allocator))
-	}
-	if cfg.Costs != nil {
-		opts = append(opts, WithAllocCosts(*cfg.Costs))
-	}
-	w := NewWorld(cfg.Profile, seed, opts...)
+func (cfg LarsonConfig) runOnce(seed uint64) (LarsonRun, error) {
+	w := NewWorld(cfg.Profile, seed)
 	var out LarsonRun
 	err := w.Run(func(main *sim.Thread) {
 		inst, err := w.AddInstance(main)

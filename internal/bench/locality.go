@@ -22,11 +22,11 @@ import (
 // reuse cap is raised so the in-flight large regions never hit
 // FIFO eviction (which would turn placement noise into syscall noise), and
 // the placement mode is the one knob under study.
-func d4LarsonCosts(p Profile, blind bool) *malloc.CostParams {
+func d4LarsonCosts(p Profile, blind bool) malloc.CostParams {
 	c := p.AllocCosts
 	c.MmapReuseCap = 128 << 20
 	c.NUMANodeBlind = blind
-	return &c
+	return c
 }
 
 // ExpLocality (D4) compares node-blind and node-sharded placement on
@@ -63,8 +63,11 @@ func ExpLocality(o Options) (*Table, error) {
 			if blind {
 				mode = "node-blind"
 			}
+			b2prof, larProf := prof, prof
+			b2prof.AllocCosts.NUMANodeBlind = blind
+			larProf.AllocCosts = d4LarsonCosts(prof, blind)
 			for _, n := range []int{1, 2, 4, 8} {
-				b2cfg := DefaultB2(prof)
+				b2cfg := DefaultB2(b2prof)
 				b2cfg.Threads = n
 				b2cfg.Rounds = 3
 				b2cfg.Objects = b2Objects
@@ -72,20 +75,15 @@ func ExpLocality(o Options) (*Table, error) {
 				b2cfg.TouchObjects = true
 				b2cfg.Runs = 1
 				b2cfg.Seed = o.seed()
-				b2cfg.Allocator = malloc.KindThreadCache
-				b2costs := prof.AllocCosts
-				b2costs.NUMANodeBlind = blind
-				b2cfg.Costs = &b2costs
 				b2, err := RunBench2(b2cfg)
 				if err != nil {
 					return nil, fmt.Errorf("D4 %s %s bench2 %dt: %w", prof.Name, mode, n, err)
 				}
 				b2s := b2.Runs[0].AllocStats.VM
 
-				lcfg := LarsonConfig{Profile: prof, Threads: n, Slots: 32,
+				lcfg := LarsonConfig{Profile: larProf, Threads: n, Slots: 32,
 					MinSize: 132 * 1024, MaxSize: 148 * 1024, Ops: larOps, Runs: 1,
-					TouchObjects: true, Seed: o.seed(), Allocator: malloc.KindThreadCache,
-					Costs: d4LarsonCosts(prof, blind)}
+					TouchObjects: true, Seed: o.seed()}
 				lar, err := RunLarson(lcfg)
 				if err != nil {
 					return nil, fmt.Errorf("D4 %s %s larson %dt: %w", prof.Name, mode, n, err)

@@ -20,10 +20,12 @@ func TestOffloadedLarsonDeterministic(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			run := func() LarsonRun {
 				t.Helper()
+				prof := NUMAServerScale(2, 8)
+				prof.Allocator = kind
 				cfg := LarsonConfig{
-					Profile: NUMAServerScale(2, 8), Threads: 8, Slots: 50,
+					Profile: prof, Threads: 8, Slots: 50,
 					MinSize: 10, MaxSize: 100, Ops: 300, Runs: 1, Seed: 7,
-					Rotate: true, Allocator: kind, Telemetry: &telemetry.Config{},
+					Rotate: true, Telemetry: &telemetry.Config{},
 				}
 				res, err := RunLarson(cfg)
 				if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
-	"mtmalloc/internal/vm"
 )
 
 // This file is experiment D9, the allocation-placement study. The paper's
@@ -52,13 +51,13 @@ type PlacementConfig struct {
 	// QueueDepth bounds each consumer's handoff queue; the producer polls
 	// (charged) when a queue is full, consumers poll when empty.
 	QueueDepth int
-	Allocator  malloc.Kind
-	Costs      *malloc.CostParams
 	Seed       uint64
 }
 
-// DefaultPlacement fills the workload constants the D9 sweep uses.
+// DefaultPlacement fills the workload constants the D9 sweep uses, on p
+// running the thread cache.
 func DefaultPlacement(p Profile) PlacementConfig {
+	p.Allocator = malloc.KindThreadCache
 	return PlacementConfig{
 		Profile:         p,
 		Threads:         2,
@@ -66,7 +65,6 @@ func DefaultPlacement(p Profile) PlacementConfig {
 		ObjsPerConsumer: 300,
 		WorkingSet:      32,
 		QueueDepth:      4,
-		Allocator:       malloc.KindThreadCache,
 		Seed:            1,
 	}
 }
@@ -117,14 +115,7 @@ func RunPlacement(cfg PlacementConfig) (PlacementRun, error) {
 	if len(cfg.Sizes) == 0 || cfg.ObjsPerConsumer < 1 || cfg.WorkingSet < 1 || cfg.QueueDepth < 1 {
 		return PlacementRun{}, fmt.Errorf("placement: bad config %+v", cfg)
 	}
-	var opts []WorldOption
-	if cfg.Allocator != "" {
-		opts = append(opts, WithAllocator(cfg.Allocator))
-	}
-	if cfg.Costs != nil {
-		opts = append(opts, WithAllocCosts(*cfg.Costs))
-	}
-	w := NewWorld(cfg.Profile, cfg.Seed, opts...)
+	w := NewWorld(cfg.Profile, cfg.Seed)
 	var out PlacementRun
 	err := w.Run(func(main *sim.Thread) {
 		inst, err := w.AddInstance(main)
@@ -239,7 +230,6 @@ func RunPlacement(cfg PlacementConfig) (PlacementRun, error) {
 		if err := al.Check(); err != nil {
 			panic(fmt.Sprintf("placement: check: %v", err))
 		}
-		_ = vm.PageSize
 	})
 	return out, err
 }
@@ -272,13 +262,9 @@ func ExpPlacement(o Options) (*Table, error) {
 		cfg := DefaultPlacement(p)
 		cfg.Threads = n
 		cfg.ObjsPerConsumer = objs
-		cfg.Allocator = kind
+		cfg.Profile.Allocator = kind
+		cfg.Profile.AllocCosts.LineAware = aware
 		cfg.Seed = o.seed()
-		if aware {
-			costs := p.AllocCosts
-			costs.LineAware = true
-			cfg.Costs = &costs
-		}
 		return RunPlacement(cfg)
 	}
 	mode := func(aware bool) string {

@@ -36,9 +36,11 @@ func ExpPressure(o Options) (*Table, error) {
 	t := &Table{ID: "D6", Title: "graceful degradation under memory pressure: Larson 4 threads, commit limit ratcheting toward peak live bytes",
 		Columns: []string{"allocator", "workload", "limit/peak", "limit(KB)", "tput(ops/s)", "tput ratio", "emerg passes", "oom retries", "oom fails", "skips"}}
 	for _, kind := range malloc.Kinds() {
+		kprof := prof
+		kprof.Allocator = kind
 		for _, wl := range []string{"flat", "phases"} {
-			cfg := LarsonConfig{Profile: prof, Threads: 4, Slots: 500,
-				MinSize: 10, MaxSize: 400, Ops: ops, Runs: 1, Seed: o.seed(), Allocator: kind}
+			cfg := LarsonConfig{Profile: kprof, Threads: 4, Slots: 500,
+				MinSize: 10, MaxSize: 400, Ops: ops, Runs: 1, Seed: o.seed()}
 			if wl == "phases" {
 				cfg.Phases = []Phase{{Ops: ops / 2, IdleSeconds: 0.02}, {Ops: ops - ops/2}}
 			}

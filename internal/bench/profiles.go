@@ -45,7 +45,10 @@ type Profile struct {
 	ScavengeDecay    int
 	ScavengeBinPad   int64
 
-	// Allocator is the platform's default allocator design.
+	// Allocator is the design every instance on this machine runs, priced
+	// by AllocCosts. The profiles set the platform's own allocator;
+	// experiments and tools select another design, or ablate a cost, on
+	// their copy of the profile.
 	Allocator malloc.Kind
 	// HeapParams are the platform allocator's tunables.
 	HeapParams heap.Params

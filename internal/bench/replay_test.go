@@ -40,47 +40,65 @@ func wantu(t *testing.T, what string, got, want uint64) {
 	}
 }
 
+// replayName names a replay subtest: the kind alone for a one-run row, the
+// kind and the checked run's index for a multi-run (seed-stride) row.
+func replayName(kind malloc.Kind, runs int) string {
+	if runs == 1 {
+		return string(kind)
+	}
+	return string(kind) + "-run" + strconv.Itoa(runs-1)
+}
+
 // TestReplayBench1 replays the D1 benchmark-1 configuration for each of the
 // four pre-refactor kinds and checks per-thread times and lock counters
-// against pre-refactor goldens.
+// against pre-refactor goldens. The two-run serial row checks run 1, whose
+// scheduling jitter differs from run 0's, so it pins the 7919 seed stride.
 func TestReplayBench1(t *testing.T) {
 	goldens := []struct {
 		kind      malloc.Kind
+		runs      int
 		perThread [4]string
 		trylock   uint64
 		lockAcqs  uint64
 		arenas    int
 	}{
-		{malloc.KindPTMalloc,
+		{malloc.KindPTMalloc, 1,
 			[4]string{"0x1.067ec6fccb8f8p-05", "0x1.b4a9684c4d3e3p-06", "0x1.b4da63747fbfep-06", "0x1.b48ed0c65f281p-06"},
 			12, 160000, 4},
-		{malloc.KindSerial,
+		{malloc.KindSerial, 1,
 			[4]string{"0x1.9cab0a4086eap-03", "0x1.35af1dc2e7237p-03", "0x1.8e75acb304825p-03", "0x1.879213a488c72p-03"},
 			0, 160000, 1},
-		{malloc.KindPerThread,
+		{malloc.KindPerThread, 1,
 			[4]string{"0x1.b408838fca967p-06", "0x1.b4a43f9879e78p-06", "0x1.b4bdbff226812p-06", "0x1.b43cf155a0cefp-06"},
 			0, 160000, 5},
-		{malloc.KindThreadCache,
+		{malloc.KindThreadCache, 1,
 			[4]string{"0x1.4a345f35ce20cp-07", "0x1.18facdbc0b08ap-07", "0x1.19a0d06f9995fp-07", "0x1.185231502f177p-07"},
 			0, 4, 4},
+		{malloc.KindSerial, 2,
+			[4]string{"0x1.9c7405fb05892p-03", "0x1.35aefbab8782cp-03", "0x1.956ccf3eca9eap-03", "0x1.7fd77cff042c9p-03"},
+			0, 160000, 1},
 	}
 	for _, g := range goldens {
 		g := g
-		t.Run(string(g.kind), func(t *testing.T) {
+		t.Run(replayName(g.kind, g.runs), func(t *testing.T) {
+			prof := QuadXeon500()
+			prof.Allocator = g.kind
 			cfg := B1Config{
-				Profile:   QuadXeon500(),
-				Threads:   4,
-				Size:      512,
-				Pairs:     20000,
-				Runs:      1,
-				Seed:      1,
-				Allocator: g.kind,
+				Profile: prof,
+				Threads: 4,
+				Size:    512,
+				Pairs:   20000,
+				Runs:    g.runs,
+				Seed:    1,
 			}
 			res, err := RunBench1(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := res.Runs[0]
+			if len(res.Runs) != g.runs {
+				t.Fatalf("%d runs, want %d", len(res.Runs), g.runs)
+			}
+			run := res.Runs[g.runs-1]
 			if len(run.PerThread) != 4 {
 				t.Fatalf("PerThread count = %d, want 4", len(run.PerThread))
 			}
@@ -97,33 +115,40 @@ func TestReplayBench1(t *testing.T) {
 }
 
 // TestReplayLarson replays the D1/D2 Larson configuration for each kind.
+// The two-run thread-cache row checks run 1, pinning the 65537 seed stride.
 func TestReplayLarson(t *testing.T) {
 	goldens := []struct {
 		kind              malloc.Kind
+		runs              int
 		throughput        string
 		faults            uint64
 		lockAcqs          uint64
 		depotHits, depotD uint64
 	}{
-		{malloc.KindPTMalloc, "0x1.c7b2abf1d8b82p+20", 86, 28004, 0, 0},
-		{malloc.KindSerial, "0x1.324956000cd8bp+18", 82, 28004, 0, 0},
-		{malloc.KindPerThread, "0x1.029d02436f0ep+21", 87, 28004, 0, 0},
-		{malloc.KindThreadCache, "0x1.c9fdaee43f3d4p+21", 153, 306, 67, 145},
+		{malloc.KindPTMalloc, 1, "0x1.c7b2abf1d8b82p+20", 86, 28004, 0, 0},
+		{malloc.KindSerial, 1, "0x1.324956000cd8bp+18", 82, 28004, 0, 0},
+		{malloc.KindPerThread, 1, "0x1.029d02436f0ep+21", 87, 28004, 0, 0},
+		{malloc.KindThreadCache, 1, "0x1.c9fdaee43f3d4p+21", 153, 306, 67, 145},
+		{malloc.KindThreadCache, 2, "0x1.ca0dbdc875129p+21", 154, 309, 78, 160},
 	}
 	for _, g := range goldens {
 		g := g
-		t.Run(string(g.kind), func(t *testing.T) {
-			cfg := DefaultLarson(QuadXeon500())
+		t.Run(replayName(g.kind, g.runs), func(t *testing.T) {
+			prof := QuadXeon500()
+			prof.Allocator = g.kind
+			cfg := DefaultLarson(prof)
 			cfg.Threads = 4
 			cfg.Ops = 3000
-			cfg.Runs = 1
+			cfg.Runs = g.runs
 			cfg.Seed = 1
-			cfg.Allocator = g.kind
 			res, err := RunLarson(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := res.Runs[0]
+			if len(res.Runs) != g.runs {
+				t.Fatalf("%d runs, want %d", len(res.Runs), g.runs)
+			}
+			run := res.Runs[g.runs-1]
 			wantf(t, "Throughput", run.Throughput, g.throughput)
 			wantu(t, "MinorFaults", run.AllocStats.VM.MinorFaults, g.faults)
 			wantu(t, "ArenaLockAcqs", run.AllocStats.ArenaLockAcqs, g.lockAcqs)
@@ -155,16 +180,14 @@ func TestReplayD4Locality(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			prof := NUMAServer(4)
-			costs := prof.AllocCosts
-			costs.NUMANodeBlind = g.blind
+			prof.Allocator = malloc.KindThreadCache
+			prof.AllocCosts.NUMANodeBlind = g.blind
 			cfg := DefaultLarson(prof)
 			cfg.Threads = 8
 			cfg.Ops = 2000
 			cfg.Runs = 1
 			cfg.Seed = 1
 			cfg.TouchObjects = true
-			cfg.Allocator = malloc.KindThreadCache
-			cfg.Costs = &costs
 			res, err := RunLarson(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -182,15 +205,14 @@ func TestReplayD4Locality(t *testing.T) {
 // the scavenger cascade and depot decay paths.
 func TestReplayD3Scavenge(t *testing.T) {
 	prof := QuadXeon500()
-	costs := prof.ScavengeCosts()
-	costs.ScavengeMinBinBytes = 32 << 10
+	prof.Allocator = malloc.KindThreadCache
+	prof.AllocCosts = prof.ScavengeCosts()
+	prof.AllocCosts.ScavengeMinBinBytes = 32 << 10
 	cfg := DefaultLarson(prof)
 	cfg.Threads = 4
 	cfg.Ops = 2500
 	cfg.Runs = 1
 	cfg.Seed = 1
-	cfg.Allocator = malloc.KindThreadCache
-	cfg.Costs = &costs
 	cfg.Phases = []Phase{{Ops: 1500, IdleSeconds: 0.05}, {Ops: 1000}}
 	res, err := RunLarson(cfg)
 	if err != nil {
@@ -210,15 +232,14 @@ func TestReplayD3Scavenge(t *testing.T) {
 // CASAttempts.
 func TestReplayLockFreeScavenge(t *testing.T) {
 	prof := QuadXeon500()
-	costs := prof.ScavengeCosts()
-	costs.ScavengeMinBinBytes = 32 << 10
+	prof.Allocator = malloc.KindLockFree
+	prof.AllocCosts = prof.ScavengeCosts()
+	prof.AllocCosts.ScavengeMinBinBytes = 32 << 10
 	cfg := DefaultLarson(prof)
 	cfg.Threads = 4
 	cfg.Ops = 2500
 	cfg.Runs = 1
 	cfg.Seed = 1
-	cfg.Allocator = malloc.KindLockFree
-	cfg.Costs = &costs
 	cfg.Phases = []Phase{{Ops: 1500, IdleSeconds: 0.05}, {Ops: 1000}}
 	res, err := RunLarson(cfg)
 	if err != nil {
@@ -258,8 +279,10 @@ func TestReplayD5Scaling(t *testing.T) {
 	for _, g := range goldens {
 		g := g
 		t.Run(string(g.kind), func(t *testing.T) {
-			cfg := LarsonConfig{Profile: NUMAServerScale(4, 64), Threads: 16, Slots: 200,
-				MinSize: 10, MaxSize: 100, Ops: 200, Runs: 1, Seed: 1, Allocator: g.kind}
+			prof := NUMAServerScale(4, 64)
+			prof.Allocator = g.kind
+			cfg := LarsonConfig{Profile: prof, Threads: 16, Slots: 200,
+				MinSize: 10, MaxSize: 100, Ops: 200, Runs: 1, Seed: 1}
 			res, err := RunLarson(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -299,8 +322,10 @@ func TestReplayD6Pressure(t *testing.T) {
 	for _, g := range goldens {
 		g := g
 		t.Run(string(g.kind), func(t *testing.T) {
-			cfg := LarsonConfig{Profile: QuadXeon500(), Threads: 4, Slots: 500,
-				MinSize: 10, MaxSize: g.maxSize, Ops: 2000, Runs: 1, Seed: 1, Allocator: g.kind}
+			prof := QuadXeon500()
+			prof.Allocator = g.kind
+			cfg := LarsonConfig{Profile: prof, Threads: 4, Slots: 500,
+				MinSize: 10, MaxSize: g.maxSize, Ops: 2000, Runs: 1, Seed: 1}
 			base, err := RunLarson(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -354,12 +379,8 @@ func TestReplayD9Placement(t *testing.T) {
 			cfg := DefaultPlacement(prof)
 			cfg.Threads = 4
 			cfg.ObjsPerConsumer = 40
-			cfg.Allocator = g.kind
-			if g.aware {
-				costs := prof.AllocCosts
-				costs.LineAware = true
-				cfg.Costs = &costs
-			}
+			cfg.Profile.Allocator = g.kind
+			cfg.Profile.AllocCosts.LineAware = g.aware
 			r, err := RunPlacement(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -392,9 +413,11 @@ func TestReplayD10Offload(t *testing.T) {
 	for _, g := range goldens {
 		g := g
 		t.Run(string(g.kind), func(t *testing.T) {
-			cfg := LarsonConfig{Profile: NUMAServerScale(4, 64), Threads: 16, Slots: 200,
+			prof := NUMAServerScale(4, 64)
+			prof.Allocator = g.kind
+			cfg := LarsonConfig{Profile: prof, Threads: 16, Slots: 200,
 				MinSize: 10, MaxSize: 100, Ops: 200, Runs: 1, Seed: 1,
-				Rotate: true, Allocator: g.kind, Telemetry: &telemetry.Config{}}
+				Rotate: true, Telemetry: &telemetry.Config{}}
 			res, err := RunLarson(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -433,12 +456,13 @@ func TestReplayBench2(t *testing.T) {
 	for _, g := range goldens {
 		g := g
 		t.Run(string(g.kind), func(t *testing.T) {
-			cfg := DefaultB2(QuadXeon500())
+			prof := QuadXeon500()
+			prof.Allocator = g.kind
+			cfg := DefaultB2(prof)
 			cfg.Threads = 7
 			cfg.Rounds = 3
 			cfg.Objects = 2000
 			cfg.Runs = 2
-			cfg.Allocator = g.kind
 			res, err := RunBench2(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -457,5 +481,36 @@ func TestReplayBench2(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplayBench3 replays benchmark 3 with three 10-byte writers on the
+// quad Xeon for two runs. The random warm-up allocations shift run 1's
+// placement away from run 0's, so the wall times differ and pin the 31337
+// seed stride.
+func TestReplayBench3(t *testing.T) {
+	goldens := []struct {
+		wall   string
+		shared int
+	}{
+		{"0x1.500119c237b74p+04", 1},
+		{"0x1.0334cf1dc61fcp+04", 1},
+	}
+	cfg := DefaultB3(QuadXeon500())
+	cfg.Threads = 3
+	cfg.Size = 10
+	cfg.Runs = 2
+	res, err := RunBench3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Runs) != len(goldens) {
+		t.Fatalf("%d runs, want %d", len(res.Runs), len(goldens))
+	}
+	for i, run := range res.Runs {
+		wantf(t, "run "+strconv.Itoa(i)+" WallSeconds", run.WallSeconds, goldens[i].wall)
+		if run.SharedLines != goldens[i].shared {
+			t.Errorf("run %d SharedLines = %d, want %d", i, run.SharedLines, goldens[i].shared)
+		}
 	}
 }

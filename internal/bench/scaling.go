@@ -48,9 +48,11 @@ func ExpScaling(o Options) (*Table, error) {
 	}
 	tput := make(map[key]float64)
 	for _, kind := range malloc.Kinds() {
+		kprof := prof
+		kprof.Allocator = kind
 		for _, n := range []int{8, 16, 32, 64} {
-			lcfg := LarsonConfig{Profile: prof, Threads: n, Slots: 200,
-				MinSize: 10, MaxSize: 100, Ops: ops, Runs: 1, Seed: o.seed(), Allocator: kind}
+			lcfg := LarsonConfig{Profile: kprof, Threads: n, Slots: 200,
+				MinSize: 10, MaxSize: 100, Ops: ops, Runs: 1, Seed: o.seed()}
 			lar, err := RunLarson(lcfg)
 			if err != nil {
 				return nil, fmt.Errorf("D5 %s larson %dt: %w", kind, n, err)
@@ -70,9 +72,11 @@ func ExpScaling(o Options) (*Table, error) {
 	// survives the free storm as producers and consumers both scale.
 	imb := make(map[key]float64)
 	for _, kind := range []malloc.Kind{malloc.KindThreadCache, malloc.KindLockFree} {
-		lcfg := LarsonConfig{Profile: OriginServer(4, 64), Threads: 32, Slots: 200,
+		origin := OriginServer(4, 64)
+		origin.Allocator = kind
+		lcfg := LarsonConfig{Profile: origin, Threads: 32, Slots: 200,
 			MinSize: 10, MaxSize: 100, Ops: ops, Runs: 1, Seed: o.seed(),
-			Allocator: kind, TouchObjects: true}
+			TouchObjects: true}
 		lar, err := RunLarson(lcfg)
 		if err != nil {
 			return nil, fmt.Errorf("D5 origin-touch %s: %w", kind, err)
@@ -80,10 +84,12 @@ func ExpScaling(o Options) (*Table, error) {
 		addRow(lcfg.Profile.Name, "origin-touch", kind, 32, lar.Runs[0])
 	}
 	for _, kind := range []malloc.Kind{malloc.KindThreadCache, malloc.KindLockFree} {
+		kprof := prof
+		kprof.Allocator = kind
 		for _, n := range []int{16, 32, 64} {
-			lcfg := LarsonConfig{Profile: prof, Threads: n, Slots: 200,
+			lcfg := LarsonConfig{Profile: kprof, Threads: n, Slots: 200,
 				MinSize: 10, MaxSize: 100, Ops: ops, Runs: 1, Seed: o.seed(),
-				Allocator: kind, Producers: n / 4}
+				Producers: n / 4}
 			lar, err := RunLarson(lcfg)
 			if err != nil {
 				return nil, fmt.Errorf("D5 imbalanced %s %dt: %w", kind, n, err)

@@ -53,10 +53,12 @@ func ExpServiceOffload(o Options) (*Table, error) {
 	kinds := []malloc.Kind{malloc.KindThreadCache, malloc.KindThreadCacheSvc,
 		malloc.KindLockFree, malloc.KindLockFreeSvc}
 	for _, kind := range kinds {
+		kprof := prof
+		kprof.Allocator = kind
 		for _, n := range threadCounts {
-			lcfg := LarsonConfig{Profile: prof, Threads: n, Slots: 200,
+			lcfg := LarsonConfig{Profile: kprof, Threads: n, Slots: 200,
 				MinSize: 10, MaxSize: 100, Ops: ops, Runs: 1, Seed: o.seed(),
-				Rotate: true, Allocator: kind, Telemetry: &telemetry.Config{}}
+				Rotate: true, Telemetry: &telemetry.Config{}}
 			lar, err := RunLarson(lcfg)
 			if err != nil {
 				return nil, fmt.Errorf("D10 %s larson %dt: %w", kind, n, err)
@@ -120,7 +122,6 @@ func ExpServiceOffload(o Options) (*Table, error) {
 			fpOps = 4000
 		}
 	}
-	scavCosts := prof.ScavengeCosts()
 	fpConfigs := []struct {
 		name string
 		kind malloc.Kind
@@ -136,9 +137,8 @@ func ExpServiceOffload(o Options) (*Table, error) {
 	for _, c := range fpConfigs {
 		cfg := DefaultFootprint(prof)
 		cfg.Seed = o.seed()
-		cfg.Allocator = c.kind
-		costs := scavCosts
-		cfg.Costs = &costs
+		cfg.Profile.Allocator = c.kind
+		cfg.Profile.AllocCosts = prof.ScavengeCosts()
 		for i := range cfg.Phases {
 			cfg.Phases[i].Ops = fpOps
 		}

@@ -23,12 +23,13 @@ import (
 // telemetryLarsonConfig is the TestReplayLarson threadcache configuration
 // with a recorder attached.
 func telemetryLarsonConfig() LarsonConfig {
-	cfg := DefaultLarson(QuadXeon500())
+	prof := QuadXeon500()
+	prof.Allocator = malloc.KindThreadCache
+	cfg := DefaultLarson(prof)
 	cfg.Threads = 4
 	cfg.Ops = 3000
 	cfg.Runs = 1
 	cfg.Seed = 1
-	cfg.Allocator = malloc.KindThreadCache
 	cfg.Telemetry = &telemetry.Config{}
 	return cfg
 }
@@ -99,15 +100,14 @@ func TestTelemetryLeavesScavengeGoldenIdentical(t *testing.T) {
 	// scavenger pass spans and the sampler tick ride the same virtual
 	// clocks the golden pins.
 	prof := QuadXeon500()
-	costs := prof.ScavengeCosts()
-	costs.ScavengeMinBinBytes = 32 << 10
+	prof.Allocator = malloc.KindThreadCache
+	prof.AllocCosts = prof.ScavengeCosts()
+	prof.AllocCosts.ScavengeMinBinBytes = 32 << 10
 	cfg := DefaultLarson(prof)
 	cfg.Threads = 4
 	cfg.Ops = 2500
 	cfg.Runs = 1
 	cfg.Seed = 1
-	cfg.Allocator = malloc.KindThreadCache
-	cfg.Costs = &costs
 	cfg.Phases = []Phase{{Ops: 1500, IdleSeconds: 0.05}, {Ops: 1000}}
 	cfg.Telemetry = &telemetry.Config{}
 	res, err := RunLarson(cfg)

@@ -31,11 +31,6 @@ type World struct {
 	// charge stack faults to the right address space.
 	threadInst map[int]*Instance
 
-	// allocKind may override the profile's default allocator (ablations).
-	allocKind malloc.Kind
-	// allocCosts, when non-nil, overrides the profile's allocator cost
-	// params (mid-tier ablations: depot, mmap reuse, adaptive marks).
-	allocCosts *malloc.CostParams
 	// sharedKernel, when set, makes every instance contend on one kernel
 	// lock for VM syscalls (the pre-2.3.x kernel the authors patched).
 	sharedKernel *sim.Mutex
@@ -44,16 +39,10 @@ type World struct {
 // WorldOption adjusts world construction.
 type WorldOption func(*World)
 
-// WithAllocator overrides the profile's allocator kind.
+// WithAllocator sets the world's copy of Profile.Allocator, the design
+// every instance the world creates runs.
 func WithAllocator(kind malloc.Kind) WorldOption {
-	return func(w *World) { w.allocKind = kind }
-}
-
-// WithAllocCosts overrides the profile's allocator cost parameters, so
-// experiments can ablate individual tiers (transfer cache, mmap reuse,
-// adaptive marks) without defining a whole new profile.
-func WithAllocCosts(costs malloc.CostParams) WorldOption {
-	return func(w *World) { w.allocCosts = &costs }
+	return func(w *World) { w.Profile.Allocator = kind }
 }
 
 // WithGlobalKernelLock serializes all instances' VM syscalls on one kernel
@@ -79,7 +68,6 @@ func NewWorld(p Profile, seed uint64, opts ...WorldOption) *World {
 		M:          m,
 		Cache:      cache.NewModel(p.CPUs, p.LineShift, p.CacheCosts),
 		threadInst: make(map[int]*Instance),
-		allocKind:  p.Allocator,
 	}
 	for _, o := range opts {
 		o(w)
@@ -108,7 +96,8 @@ func (w *World) Run(body func(main *sim.Thread)) error {
 }
 
 // AddInstance creates one process image: address space, startup page
-// faults, allocator. Must be called from a simulated thread (normally
+// faults, and the allocator Profile.Allocator names, priced by
+// Profile.AllocCosts. Must be called from a simulated thread (normally
 // main). The creating thread is bound to the new instance.
 func (w *World) AddInstance(t *sim.Thread) (*Instance, error) {
 	id := uint32(len(w.Instances) + 1)
@@ -121,11 +110,7 @@ func (w *World) AddInstance(t *sim.Thread) (*Instance, error) {
 	for i := 0; i < w.Profile.BootstrapPages; i++ {
 		as.Touch(t, vm.TextBase+uint64(i)*vm.PageSize)
 	}
-	costs := w.Profile.AllocCosts
-	if w.allocCosts != nil {
-		costs = *w.allocCosts
-	}
-	al, err := malloc.New(t, w.allocKind, as, w.Profile.HeapParams, costs)
+	al, err := malloc.New(t, w.Profile.Allocator, as, w.Profile.HeapParams, w.Profile.AllocCosts)
 	if err != nil {
 		return nil, fmt.Errorf("bench: creating allocator: %w", err)
 	}
@@ -148,3 +133,21 @@ func (w *World) InstanceOf(t *sim.Thread) *Instance {
 
 // Seconds converts simulated cycles to seconds for this world's clock.
 func (w *World) Seconds(c sim.Time) float64 { return w.M.Seconds(c) }
+
+// repeatRuns runs once for runs 0..runs-1, run i on seed base+i*stride, and
+// returns the results in run order. Each benchmark passes its own stride,
+// which the replay goldens pin; name prefixes the errors ("bench1 run 2: ...").
+func repeatRuns[R any](name string, runs int, base, stride uint64, once func(seed uint64) (R, error)) ([]R, error) {
+	if runs < 1 {
+		return nil, fmt.Errorf("%s: runs = %d, want at least 1", name, runs)
+	}
+	out := make([]R, 0, runs)
+	for run := 0; run < runs; run++ {
+		r, err := once(base + uint64(run)*stride)
+		if err != nil {
+			return nil, fmt.Errorf("%s run %d: %w", name, run, err)
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}

@@ -127,7 +127,8 @@ func NewWorld(p Profile, seed uint64, opts ...bench.WorldOption) *World {
 	return bench.NewWorld(p, seed, opts...)
 }
 
-// WithAllocator overrides a world's allocator design.
+// WithAllocator sets the allocator design of the world's profile copy;
+// every instance the world creates runs it.
 func WithAllocator(kind AllocatorKind) bench.WorldOption { return bench.WithAllocator(kind) }
 
 // The paper's three microbenchmarks.
