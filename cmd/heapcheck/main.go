@@ -47,6 +47,13 @@ func main() {
 	telemetryOn := flag.Bool("telemetry", false, "record allocator telemetry and print per-seed tier attribution and the top-3 latency classes")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (runtime/pprof format)")
 	flag.Parse()
+	kind, err := malloc.ParseKind(*allocator)
+	if err != nil {
+		fatal(fmt.Errorf("-allocator: %w", err))
+	}
+	if *seeds < 1 {
+		fatal(fmt.Errorf("-seeds %d: want at least 1", *seeds))
+	}
 	stop, err := cpuprof.Start(*cpuProfile)
 	if err != nil {
 		fatal(err)
@@ -67,7 +74,7 @@ func main() {
 			prof.SimCosts.RemoteAccess = 1.6
 		}
 	}
-	prof.Allocator = malloc.Kind(*allocator)
+	prof.Allocator = kind
 	// Designs without a scavenger simply ignore its knobs, so one flag set
 	// tortures all kinds uniformly.
 	if *scavenge > 0 {

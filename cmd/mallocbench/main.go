@@ -63,9 +63,10 @@ func main() {
 	switch *which {
 	case "1", "2", "3", "larson":
 	default:
-		// Experiments pick their own machines and designs.
+		// Experiments pick their own machines, designs and workloads: of the
+		// run flags only -scale and -seed reach them.
 		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "allocator" || f.Name == "profile" {
+			if slices.Contains(workloadFlags, f.Name) {
 				fatal(fmt.Errorf("-%s only applies to -bench 1, 2, 3 and larson (got -bench %q)", f.Name, *which))
 			}
 		})
@@ -76,10 +77,9 @@ func main() {
 		fatal(err)
 	}
 	if *allocator != "" {
-		if !slices.Contains(kinds, malloc.Kind(*allocator)) {
-			fatal(fmt.Errorf("unknown -allocator %q (want one of %s)", *allocator, allocatorKinds()))
+		if prof.Allocator, err = malloc.ParseKind(*allocator); err != nil {
+			fatal(fmt.Errorf("-allocator: %w", err))
 		}
-		prof.Allocator = malloc.Kind(*allocator)
 	}
 
 	var tab *bench.Table
@@ -243,14 +243,15 @@ func writeTelemetry(path string, rec *telemetry.Recorder) error {
 	return nil
 }
 
-// kinds holds every -allocator value: the five designs plus the two
-// offloaded variants.
-var kinds = append(malloc.Kinds(), malloc.KindThreadCacheSvc, malloc.KindLockFreeSvc)
+// workloadFlags are the flags that shape benchmarks 1, 2, 3 and larson; an
+// experiment ID rejects them rather than silently ignoring them.
+var workloadFlags = []string{"allocator", "profile", "threads", "processes", "size", "pairs",
+	"rounds", "objects", "writes", "aligned", "runs"}
 
-// allocatorKinds lists kinds for the usage text and error messages.
+// allocatorKinds lists every -allocator value for the usage text.
 func allocatorKinds() string {
 	var names []string
-	for _, k := range kinds {
+	for _, k := range malloc.AllKinds() {
 		names = append(names, string(k))
 	}
 	return strings.Join(names, ", ")

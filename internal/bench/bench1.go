@@ -41,8 +41,11 @@ type B1Result struct {
 
 // RunBench1 executes the configured number of runs and aggregates.
 func RunBench1(cfg B1Config) (B1Result, error) {
-	if cfg.Threads < 1 || cfg.Pairs < 1 {
-		return B1Result{}, fmt.Errorf("bench1: bad config %+v", cfg)
+	switch {
+	case cfg.Threads < 1:
+		return B1Result{}, badConfig("bench1", "Threads", cfg.Threads, "at least 1")
+	case cfg.Pairs < 1:
+		return B1Result{}, badConfig("bench1", "Pairs", cfg.Pairs, "at least 1")
 	}
 	runs, err := repeatRuns("bench1", cfg.Runs, cfg.Seed, 7919, cfg.runOnce)
 	if err != nil {

@@ -71,8 +71,15 @@ func PredictMinorFaults(threads, rounds int) float64 {
 
 // RunBench2 executes the configured runs.
 func RunBench2(cfg B2Config) (B2Result, error) {
-	if cfg.Threads < 1 || cfg.Rounds < 1 || cfg.Objects < 1 {
-		return B2Result{}, fmt.Errorf("bench2: bad config %+v", cfg)
+	switch {
+	case cfg.Threads < 1:
+		return B2Result{}, badConfig("bench2", "Threads", cfg.Threads, "at least 1")
+	case cfg.Rounds < 1:
+		return B2Result{}, badConfig("bench2", "Rounds", cfg.Rounds, "at least 1")
+	case cfg.Objects < 1:
+		return B2Result{}, badConfig("bench2", "Objects", cfg.Objects, "at least 1")
+	case cfg.Size < 1:
+		return B2Result{}, badConfig("bench2", "Size", cfg.Size, "at least 1")
 	}
 	runs, err := repeatRuns("bench2", cfg.Runs, cfg.Seed, 104729, cfg.runOnce)
 	if err != nil {

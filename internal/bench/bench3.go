@@ -52,8 +52,11 @@ func RunBench3(cfg B3Config) (B3Result, error) {
 	if cfg.Threads < 1 || cfg.Threads > cfg.Profile.CPUs {
 		return B3Result{}, fmt.Errorf("bench3: threads %d must be in 1..#CPUs (%d)", cfg.Threads, cfg.Profile.CPUs)
 	}
-	if cfg.Size < 1 || cfg.Writes < 1 {
-		return B3Result{}, fmt.Errorf("bench3: bad config %+v", cfg)
+	switch {
+	case cfg.Size < 1:
+		return B3Result{}, badConfig("bench3", "Size", cfg.Size, "at least 1")
+	case cfg.Writes < 1:
+		return B3Result{}, badConfig("bench3", "Writes", cfg.Writes, "at least 1")
 	}
 	runs, err := repeatRuns("bench3", cfg.Runs, cfg.Seed, 31337, cfg.runOnce)
 	if err != nil {

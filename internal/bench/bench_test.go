@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mtmalloc/internal/malloc"
@@ -693,6 +694,66 @@ func BenchmarkExperiment(b *testing.B) {
 				if _, err := e.Run(Options{Scale: c.scale, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// TestBadConfigErrorsNameTheField: every runner rejects a bad config with a
+// short error that names the failing field and its value, not one that
+// prints the whole config (profile and cost tables included).
+func TestBadConfigErrorsNameTheField(t *testing.T) {
+	p := QuadXeon500()
+	for _, tc := range []struct {
+		name, want string
+		run        func() error
+	}{
+		{"bench1", "Threads = 0", func() error {
+			_, err := RunBench1(B1Config{Profile: p, Pairs: 10, Runs: 1})
+			return err
+		}},
+		{"bench2", "Size = 0", func() error {
+			cfg := DefaultB2(p)
+			cfg.Size = 0
+			_, err := RunBench2(cfg)
+			return err
+		}},
+		{"bench3", "Writes = 0", func() error {
+			cfg := DefaultB3(p)
+			cfg.Writes = 0
+			_, err := RunBench3(cfg)
+			return err
+		}},
+		{"larson", "Slots = 0", func() error {
+			cfg := DefaultLarson(p)
+			cfg.Slots = 0
+			_, err := RunLarson(cfg)
+			return err
+		}},
+		{"footprint", "SamplePeriodSeconds = 0", func() error {
+			cfg := DefaultFootprint(p)
+			cfg.SamplePeriodSeconds = 0
+			_, err := RunFootprint(cfg)
+			return err
+		}},
+		{"placement", "QueueDepth = 0", func() error {
+			cfg := DefaultPlacement(p)
+			cfg.QueueDepth = 0
+			_, err := RunPlacement(cfg)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run()
+			if err == nil {
+				t.Fatal("bad config accepted")
+			}
+			msg := err.Error()
+			if !strings.HasPrefix(msg, tc.name+": ") || !strings.Contains(msg, tc.want) {
+				t.Errorf("error %q does not name %q", msg, tc.want)
+			}
+			if len(msg) >= 200 {
+				t.Errorf("error is %d characters, want under 200: %q", len(msg), msg)
 			}
 		})
 	}

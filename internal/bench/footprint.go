@@ -79,8 +79,15 @@ func DefaultFootprint(p Profile) FootprintConfig {
 // RunFootprint executes one footprint run. Runs are deterministic per seed,
 // so a single run per configuration is a complete measurement.
 func RunFootprint(cfg FootprintConfig) (FootprintRun, error) {
-	if cfg.Threads < 1 || cfg.Slots < 1 || len(cfg.Phases) == 0 || cfg.SamplePeriodSeconds <= 0 {
-		return FootprintRun{}, fmt.Errorf("footprint: bad config %+v", cfg)
+	switch {
+	case cfg.Threads < 1:
+		return FootprintRun{}, badConfig("footprint", "Threads", cfg.Threads, "at least 1")
+	case cfg.Slots < 1:
+		return FootprintRun{}, badConfig("footprint", "Slots", cfg.Slots, "at least 1")
+	case len(cfg.Phases) == 0:
+		return FootprintRun{}, badConfig("footprint", "len(Phases)", 0, "at least 1")
+	case cfg.SamplePeriodSeconds <= 0:
+		return FootprintRun{}, badConfig("footprint", "SamplePeriodSeconds", cfg.SamplePeriodSeconds, "above 0")
 	}
 	w := NewWorld(cfg.Profile, cfg.Seed)
 	var out FootprintRun

@@ -114,8 +114,15 @@ func RunLarson(cfg LarsonConfig) (LarsonResult, error) {
 	if len(cfg.Phases) > 0 {
 		cfg.Ops = totalOps(cfg.Phases)
 	}
-	if cfg.Threads < 1 || cfg.Slots < 1 || cfg.Ops < 1 || cfg.MinSize > cfg.MaxSize {
-		return LarsonResult{}, fmt.Errorf("larson: bad config %+v", cfg)
+	switch {
+	case cfg.Threads < 1:
+		return LarsonResult{}, badConfig("larson", "Threads", cfg.Threads, "at least 1")
+	case cfg.Slots < 1:
+		return LarsonResult{}, badConfig("larson", "Slots", cfg.Slots, "at least 1")
+	case cfg.Ops < 1:
+		return LarsonResult{}, badConfig("larson", "Ops", cfg.Ops, "at least 1")
+	case cfg.MinSize > cfg.MaxSize:
+		return LarsonResult{}, badConfig("larson", "MinSize", cfg.MinSize, fmt.Sprintf("at most MaxSize (%d)", cfg.MaxSize))
 	}
 	if cfg.Producers < 0 || cfg.Producers >= cfg.Threads {
 		return LarsonResult{}, fmt.Errorf("larson: Producers = %d must be in [0, Threads)", cfg.Producers)

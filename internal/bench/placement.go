@@ -112,8 +112,15 @@ func RunPlacement(cfg PlacementConfig) (PlacementRun, error) {
 	if cfg.Threads < 2 || cfg.Threads > cfg.Profile.CPUs {
 		return PlacementRun{}, fmt.Errorf("placement: threads %d must be in 2..#CPUs (%d)", cfg.Threads, cfg.Profile.CPUs)
 	}
-	if len(cfg.Sizes) == 0 || cfg.ObjsPerConsumer < 1 || cfg.WorkingSet < 1 || cfg.QueueDepth < 1 {
-		return PlacementRun{}, fmt.Errorf("placement: bad config %+v", cfg)
+	switch {
+	case len(cfg.Sizes) == 0:
+		return PlacementRun{}, badConfig("placement", "len(Sizes)", 0, "at least 1")
+	case cfg.ObjsPerConsumer < 1:
+		return PlacementRun{}, badConfig("placement", "ObjsPerConsumer", cfg.ObjsPerConsumer, "at least 1")
+	case cfg.WorkingSet < 1:
+		return PlacementRun{}, badConfig("placement", "WorkingSet", cfg.WorkingSet, "at least 1")
+	case cfg.QueueDepth < 1:
+		return PlacementRun{}, badConfig("placement", "QueueDepth", cfg.QueueDepth, "at least 1")
 	}
 	w := NewWorld(cfg.Profile, cfg.Seed)
 	var out PlacementRun

@@ -134,6 +134,12 @@ func (w *World) InstanceOf(t *sim.Thread) *Instance {
 // Seconds converts simulated cycles to seconds for this world's clock.
 func (w *World) Seconds(c sim.Time) float64 { return w.M.Seconds(c) }
 
+// badConfig is a benchmark's error for a config field it rejects: the
+// field's name and value, not the whole config.
+func badConfig(name, field string, value any, want string) error {
+	return fmt.Errorf("%s: bad config: %s = %v, want %s", name, field, value, want)
+}
+
 // repeatRuns runs once for runs 0..runs-1, run i on seed base+i*stride, and
 // returns the results in run order. Each benchmark passes its own stride,
 // which the replay goldens pin; name prefixes the errors ("bench1 run 2: ...").

@@ -2,6 +2,7 @@ package malloc
 
 import (
 	"fmt"
+	"strings"
 
 	"mtmalloc/internal/heap"
 	"mtmalloc/internal/sim"
@@ -27,9 +28,29 @@ const (
 	KindLockFreeSvc    Kind = "lockfree-svc"
 )
 
-// Kinds lists every allocator kind.
+// Kinds lists the five allocator designs.
 func Kinds() []Kind {
 	return []Kind{KindSerial, KindPTMalloc, KindPerThread, KindThreadCache, KindLockFree}
+}
+
+// AllKinds lists every kind New accepts: the five designs plus the two
+// offloaded variants.
+func AllKinds() []Kind {
+	return append(Kinds(), KindThreadCacheSvc, KindLockFreeSvc)
+}
+
+// ParseKind returns the kind named s, or an error naming every kind New
+// accepts; command-line tools vet their allocator flag with it before a
+// simulation starts.
+func ParseKind(s string) (Kind, error) {
+	var names []string
+	for _, k := range AllKinds() {
+		if string(k) == s {
+			return k, nil
+		}
+		names = append(names, string(k))
+	}
+	return "", fmt.Errorf("unknown allocator kind %q (want one of %s)", s, strings.Join(names, ", "))
 }
 
 // New constructs an allocator of the given kind on as, wrapped in the

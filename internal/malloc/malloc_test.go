@@ -2,6 +2,7 @@ package malloc
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"mtmalloc/internal/cache"
@@ -585,4 +586,26 @@ func TestCallocAllKinds(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestParseKind: every kind New accepts parses to itself, and an unknown
+// name fails with an error that lists all seven.
+func TestParseKind(t *testing.T) {
+	for _, k := range AllKinds() {
+		if got, err := ParseKind(string(k)); got != k || err != nil {
+			t.Errorf("ParseKind(%q) = (%q, %v)", k, got, err)
+		}
+	}
+	_, err := ParseKind("bogus")
+	if err == nil {
+		t.Fatal("ParseKind accepted an unknown kind")
+	}
+	for _, k := range AllKinds() {
+		if !strings.Contains(err.Error(), string(k)) {
+			t.Errorf("error %q does not list %q", err, k)
+		}
+	}
+	if len(AllKinds()) != 7 {
+		t.Errorf("AllKinds has %d kinds, want 7", len(AllKinds()))
+	}
 }

@@ -9,10 +9,13 @@
 // accessors below, which charge the machine's cache model per access and
 // service page faults on first touch. Each resident page is one entry that
 // holds its bytes, its cache-line directory and its home node, so one lookup
-// serves an access. Unmapping (munmap, negative sbrk) drops the entry —
-// contents and cache lines together — so re-extension faults again, exactly
-// as Linux behaves; the space recycles dropped entries for later faults,
-// zeroed and with every line invalid.
+// in the space's two-level page table serves an access. Unmapping (munmap,
+// negative sbrk) drops the entry — contents and cache lines together — so
+// re-extension faults again, exactly as Linux behaves; the space recycles
+// dropped entries for later faults, zeroed and with every line invalid. A
+// page holds no host bytes until its first nonzero store (zero-page
+// backing); that changes only the simulator's own memory, never a fault, a
+// charge or a counter.
 //
 // The reclamation subsystem adds a weaker form of giving memory back:
 // ReleasePages (madvise(MADV_DONTNEED) semantics) keeps a region mapped but
@@ -287,15 +290,13 @@ type AddressSpace struct {
 	vmas []VMA // sorted by Start, non-overlapping
 	brk  uint64
 
-	// pages holds the resident pages, keyed by page number. spare holds
-	// entries dropped by munmap, brk shrink or ReleasePages for the next
-	// fault to reuse; resident plus spare never exceeds the peak resident
-	// count.
-	pages map[uint64]*page
+	// table is the page table: the resident pages by page number, plus the
+	// released bits of pages ReleasePages handed back to the kernel while
+	// their VMA stayed mapped. spare holds entries dropped by munmap, brk
+	// shrink or ReleasePages for the next fault to reuse; resident plus spare
+	// never exceeds the peak resident count.
+	table pageTable
 	spare []*page
-	// released marks pages ReleasePages handed back to the kernel while their
-	// VMA stayed mapped: the next touch is a refault, not a first touch.
-	released map[uint64]bool
 	// lineShift is log2 of the cache model's line size: a page offset
 	// shifted right by it is the line's index in the page's directory.
 	lineShift uint
@@ -348,11 +349,58 @@ type AddressSpace struct {
 
 // page is one resident page: its bytes, the directory of its cache lines
 // and its home node (first-touch or VMA binding; always 0 on a 1-node
-// machine, see the package comment's locality model).
+// machine, see the package comment's locality model). data stays nil, and
+// the page reads as zero, until its first nonzero store: the host analog of
+// Linux mapping the shared zero page. It saves host bytes only; faults and
+// charges are the same either way.
 type page struct {
 	data  []byte
 	lines cache.Lines
 	node  int8
+}
+
+// load32 reads the little-endian uint32 at page offset o.
+func (pg *page) load32(o uint64) uint32 {
+	if pg.data == nil {
+		return 0
+	}
+	d := pg.data
+	return uint32(d[o]) | uint32(d[o+1])<<8 | uint32(d[o+2])<<16 | uint32(d[o+3])<<24
+}
+
+// load8 reads the byte at page offset o.
+func (pg *page) load8(o uint64) byte {
+	if pg.data == nil {
+		return 0
+	}
+	return pg.data[o]
+}
+
+// store32 writes v little-endian at page offset o. A zero store to a page
+// without bytes leaves it on the zero page; a nonzero one allocates them.
+func (pg *page) store32(o uint64, v uint32) {
+	if pg.data == nil {
+		if v == 0 {
+			return
+		}
+		pg.data = make([]byte, PageSize)
+	}
+	d := pg.data
+	d[o] = byte(v)
+	d[o+1] = byte(v >> 8)
+	d[o+2] = byte(v >> 16)
+	d[o+3] = byte(v >> 24)
+}
+
+// store8 writes the byte at page offset o, like store32.
+func (pg *page) store8(o uint64, v byte) {
+	if pg.data == nil {
+		if v == 0 {
+			return
+		}
+		pg.data = make([]byte, PageSize)
+	}
+	pg.data[o] = v
 }
 
 // reuseRegion is one parked anonymous mapping awaiting reuse.
@@ -386,8 +434,6 @@ func New(id uint32, m *sim.Machine, model *cache.Model, opts ...Option) *Address
 		cache:        model,
 		costs:        DefaultCosts(),
 		brk:          DataBase,
-		pages:        make(map[uint64]*page, 256),
-		released:     make(map[uint64]bool),
 		lineShift:    uint(bits.TrailingZeros64(model.LineSize())),
 		numaOn:       m.Nodes() > 1,
 		remoteMult:   m.RemoteMultiplier(),
@@ -395,6 +441,7 @@ func New(id uint32, m *sim.Machine, model *cache.Model, opts ...Option) *Address
 		stackHint:    StackTop,
 		reuseBuckets: make(map[uint64][]reuseRegion),
 	}
+	as.table.nodePages = make([]uint64, m.Nodes())
 	as.vmas = []VMA{
 		{Start: TextBase, End: TextBase + 0x60000, Kind: KindText, Name: "text", Node: -1},
 		{Start: DataBase, End: DataBase, Kind: KindBrk, Name: "brk", Node: -1},
@@ -429,7 +476,7 @@ func (as *AddressSpace) ResidentBytesIn(start, end uint64) uint64 {
 	}
 	var n uint64
 	for p := start / PageSize; p <= (end-1)/PageSize; p++ {
-		if _, ok := as.pages[p]; ok {
+		if as.table.get(p) != nil {
 			n += PageSize
 		}
 	}
@@ -439,14 +486,14 @@ func (as *AddressSpace) ResidentBytesIn(start, end uint64) uint64 {
 // Stats returns a snapshot of the VM statistics.
 func (as *AddressSpace) Stats() Stats {
 	s := as.stats
-	s.PagesPresent = uint64(len(as.pages))
+	s.PagesPresent = as.table.resident
 	s.ResidentBytes = s.PagesPresent * PageSize
 	s.MmapReuseParked = as.reuseParked
 	s.CommittedBytes = as.committed
 	if as.numa() {
-		s.NodeResidentBytes = make([]uint64, as.mach.Nodes())
-		for _, pg := range as.pages {
-			s.NodeResidentBytes[pg.node] += PageSize
+		s.NodeResidentBytes = make([]uint64, len(as.table.nodePages))
+		for node, n := range as.table.nodePages {
+			s.NodeResidentBytes[node] = n * PageSize
 		}
 	}
 	return s
@@ -562,7 +609,7 @@ func (as *AddressSpace) commitCredit(delta uint64) {
 func (as *AddressSpace) releasedBytesIn(lo, hi uint64) uint64 {
 	n := uint64(0)
 	for p := pageFloor(lo); p < hi; p += PageSize {
-		if as.released[p/PageSize] {
+		if as.table.released(p / PageSize) {
 			n += PageSize
 		}
 	}
@@ -870,7 +917,7 @@ func (as *AddressSpace) MunmapReuse(t *sim.Thread, addr, length uint64) (bool, e
 	// parker's node for a region that was never touched at all.
 	node := int8(0)
 	if as.numa() {
-		if pg, ok := as.pages[addr/PageSize]; ok {
+		if pg := as.table.get(addr / PageSize); pg != nil {
 			node = pg.node
 		} else {
 			node = int8(t.Node())
@@ -969,7 +1016,7 @@ func (as *AddressSpace) ReleasePages(t *sim.Thread, addr, length uint64) uint64 
 		if !as.mapped(p) {
 			panic(Fault{Space: as.ID, Addr: p, Op: "release-unmapped"})
 		}
-		if _, ok := as.pages[p/PageSize]; ok {
+		if as.table.get(p/PageSize) != nil {
 			resident = true
 			break
 		}
@@ -987,7 +1034,7 @@ func (as *AddressSpace) ReleasePages(t *sim.Thread, addr, length uint64) uint64 
 		if !as.dropPage(idx) {
 			continue // never touched or already released: nothing resident
 		}
-		as.released[idx] = true
+		as.table.setReleased(idx)
 		released += PageSize
 	}
 	as.stats.PagesReleased += released / PageSize
@@ -1001,18 +1048,17 @@ func (as *AddressSpace) ReleasePages(t *sim.Thread, addr, length uint64) uint64 
 func (as *AddressSpace) dropPages(lo, hi uint64) {
 	for p := pageFloor(lo); p < hi; p += PageSize {
 		as.dropPage(p / PageSize)
-		delete(as.released, p/PageSize)
+		as.table.clearReleased(p / PageSize)
 	}
 }
 
 // dropPage makes page idx non-resident, moving its entry to the spare list.
 // It reports whether the page was resident.
 func (as *AddressSpace) dropPage(idx uint64) bool {
-	pg, ok := as.pages[idx]
-	if !ok {
+	pg := as.table.take(idx)
+	if pg == nil {
 		return false
 	}
-	delete(as.pages, idx)
 	as.spare = append(as.spare, pg)
 	if as.lastPage == pg {
 		as.lastPage = nil
@@ -1021,11 +1067,12 @@ func (as *AddressSpace) dropPage(idx uint64) bool {
 }
 
 // newPage returns a zeroed page homed on node with every line invalid,
-// reusing a spare entry when there is one.
+// reusing a spare entry when there is one. A fresh entry has no bytes yet
+// (zero-page backing); a spare keeps its bytes, cleared.
 func (as *AddressSpace) newPage(node int8) *page {
 	n := len(as.spare)
 	if n == 0 {
-		return &page{data: make([]byte, PageSize), node: node}
+		return &page{node: node}
 	}
 	pg := as.spare[n-1]
 	as.spare = as.spare[:n-1]
@@ -1059,8 +1106,8 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 	if as.lastPage != nil && as.lastIdx == idx {
 		return as.lastPage
 	}
-	p, ok := as.pages[idx]
-	if !ok {
+	p := as.table.get(idx)
+	if p == nil {
 		if !as.mapped(addr) {
 			panic(Fault{Space: as.ID, Addr: addr, Op: op})
 		}
@@ -1089,7 +1136,7 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 				home = as.vmas[i].Node
 			}
 		}
-		if as.released[idx] {
+		if as.table.released(idx) {
 			// Re-committing the frame is the one fault the limit can refuse;
 			// never-touched pages were committed when their mapping grew.
 			if as.memLimit > 0 && as.committed+PageSize > as.memLimit {
@@ -1101,7 +1148,7 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 			if cost <= 0 {
 				cost = as.costs.PageFault
 			}
-			delete(as.released, idx)
+			as.table.clearReleased(idx)
 			as.stats.Refaults++
 			t.Charge(sim.Time(cost))
 			if as.numa() && home != t.Node() {
@@ -1117,7 +1164,7 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 		}
 		as.stats.MinorFaults++
 		p = as.newPage(int8(home))
-		as.pages[idx] = p
+		as.table.set(idx, p)
 	}
 	as.lastIdx, as.lastPage = idx, p
 	return p
@@ -1164,7 +1211,7 @@ func (as *AddressSpace) Read32(t *sim.Thread, addr uint64) uint32 {
 	if o+4 > PageSize {
 		panic(Fault{Space: as.ID, Addr: addr, Op: "read32-split"})
 	}
-	return uint32(p.data[o]) | uint32(p.data[o+1])<<8 | uint32(p.data[o+2])<<16 | uint32(p.data[o+3])<<24
+	return p.load32(o)
 }
 
 // Write32 stores a little-endian uint32.
@@ -1175,10 +1222,7 @@ func (as *AddressSpace) Write32(t *sim.Thread, addr uint64, v uint32) {
 	if o+4 > PageSize {
 		panic(Fault{Space: as.ID, Addr: addr, Op: "write32-split"})
 	}
-	p.data[o] = byte(v)
-	p.data[o+1] = byte(v >> 8)
-	p.data[o+2] = byte(v >> 16)
-	p.data[o+3] = byte(v >> 24)
+	p.store32(o, v)
 }
 
 // Read64 loads a little-endian uint64.
@@ -1198,38 +1242,38 @@ func (as *AddressSpace) Write64(t *sim.Thread, addr uint64, v uint64) {
 func (as *AddressSpace) Write8(t *sim.Thread, addr uint64, v byte) {
 	p := as.page(t, addr, "write8")
 	as.charge(t, p, addr, true)
-	p.data[addr%PageSize] = v
+	p.store8(addr%PageSize, v)
 }
 
 // Read8 loads one byte.
 func (as *AddressSpace) Read8(t *sim.Thread, addr uint64) byte {
 	p := as.page(t, addr, "read8")
 	as.charge(t, p, addr, false)
-	return p.data[addr%PageSize]
+	return p.load8(addr % PageSize)
 }
 
 // Peek32 reads a little-endian uint32 without charging simulated costs or
 // faulting pages in: untouched pages read as zero. It exists for integrity
 // checkers and debuggers that must not perturb the simulation.
 func (as *AddressSpace) Peek32(addr uint64) uint32 {
-	p, ok := as.pages[addr/PageSize]
-	if !ok {
+	p := as.table.get(addr / PageSize)
+	if p == nil {
 		return 0
 	}
 	o := addr % PageSize
 	if o+4 > PageSize {
 		return 0
 	}
-	return uint32(p.data[o]) | uint32(p.data[o+1])<<8 | uint32(p.data[o+2])<<16 | uint32(p.data[o+3])<<24
+	return p.load32(o)
 }
 
 // Peek8 reads one byte without charges or faults.
 func (as *AddressSpace) Peek8(addr uint64) byte {
-	p, ok := as.pages[addr/PageSize]
-	if !ok {
+	p := as.table.get(addr / PageSize)
+	if p == nil {
 		return 0
 	}
-	return p.data[addr%PageSize]
+	return p.load8(addr % PageSize)
 }
 
 // Touch faults in the page containing addr without a data access charge
